@@ -65,12 +65,10 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
 	"activesan"
 	"activesan/internal/cliflags"
@@ -98,10 +96,7 @@ func realMain() int {
 	cf := cliflags.Register()
 	flag.Parse()
 
-	if *trace != "" && cf.TraceOut != "" {
-		fmt.Fprintln(os.Stderr, "activesim: -trace and -trace-out share the trace hook; pick one")
-		return 2
-	}
+	cf.Trace = *trace
 	cleanup, err := cf.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "activesim:", err)
@@ -109,32 +104,6 @@ func realMain() int {
 	}
 	defer cleanup()
 	san.SetStrictRoutes(*strictRoutes)
-
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		w := bufio.NewWriter(f)
-		defer func() {
-			w.Flush()
-			f.Close()
-		}()
-		// With -parallel, engines on several goroutines share this sink:
-		// the mutex keeps the trace file and line budget coherent.
-		var mu sync.Mutex
-		lines := 0
-		activesan.SetTracer(func(t activesan.Time, msg string) {
-			mu.Lock()
-			defer mu.Unlock()
-			if lines >= cf.TraceLimit {
-				return
-			}
-			lines++
-			fmt.Fprintf(w, "%-14v %s\n", t, msg)
-		})
-	}
 
 	if *list || *run == "" {
 		fmt.Println("experiments:")

@@ -69,6 +69,7 @@ import (
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/metrics"
+	"activesan/internal/par"
 	"activesan/internal/stats"
 )
 
@@ -140,43 +141,9 @@ func parseInts(s string) []int {
 // point first, for determinism — on the caller's goroutine, where the
 // deferred output flushing can see it.
 func sweepLines(points []int, workers int, eval func(p int) string) {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	lines := make([]string, len(points))
-	if workers <= 1 {
-		for i, p := range points {
-			lines[i] = eval(p)
-		}
-	} else {
-		panics := make([]any, len(points))
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					func() {
-						defer func() { panics[i] = recover() }()
-						lines[i] = eval(points[i])
-					}()
-				}
-			}()
-		}
-		for i := range points {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-		for i, p := range panics {
-			if p != nil {
-				panic(fmt.Sprintf("sweep point %d panicked: %v", points[i], p))
-			}
-		}
+	if i, p := par.For(len(points), workers, func(i int) { lines[i] = eval(points[i]) }); p != nil {
+		panic(fmt.Sprintf("sweep point %d panicked: %v", points[i], p))
 	}
 	for _, l := range lines {
 		fmt.Print(l)

@@ -12,13 +12,12 @@ package collsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
 	"activesan/internal/fault"
 	"activesan/internal/metrics"
+	"activesan/internal/par"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
 	"activesan/internal/telemetry"
@@ -200,34 +199,7 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 			aggRef = RunBudgetPoint(prm.AggHosts, 0, false, prm.Coll, parts)
 		}
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > njobs {
-		workers = njobs
-	}
-	if workers <= 1 {
-		for i := 0; i < njobs; i++ {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := 0; i < njobs; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	par.Do(njobs, workers, runIdx)
 
 	var passLat, actLat, passBytes, actBytes stats.Series
 	passLat.Name = "passive (recursive doubling)"
@@ -241,14 +213,10 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 				"p=%d: INCORRECT result (passive ok=%v, active ok=%v)", p, pp.Correct, pa.Correct))
 		}
 		x := float64(p)
-		passLat.X = append(passLat.X, x)
-		passLat.Y = append(passLat.Y, pp.Latency.Micros())
-		actLat.X = append(actLat.X, x)
-		actLat.Y = append(actLat.Y, pa.Latency.Micros())
-		passBytes.X = append(passBytes.X, x)
-		passBytes.Y = append(passBytes.Y, float64(pp.HostBytes))
-		actBytes.X = append(actBytes.X, x)
-		actBytes.Y = append(actBytes.Y, float64(pa.HostBytes))
+		passLat.Add(x, pp.Latency.Micros())
+		actLat.Add(x, pa.Latency.Micros())
+		passBytes.Add(x, float64(pp.HostBytes))
+		actBytes.Add(x, float64(pa.HostBytes))
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"p=%-4d k=%d (%d switches): host I/O %d B active vs %d B passive (%.2fx less), latency %v vs %v",
 			p, pa.K, pa.Switches, pa.HostBytes, pp.HostBytes,
@@ -272,12 +240,9 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 	for i, b := range prm.Budgets {
 		pt := budgets[i]
 		x := float64(b)
-		spillS.X = append(spillS.X, x)
-		spillS.Y = append(spillS.Y, float64(pt.Spills))
-		hitS.X = append(hitS.X, x)
-		hitS.Y = append(hitS.Y, float64(pt.Hits))
-		aggBytes.X = append(aggBytes.X, x)
-		aggBytes.Y = append(aggBytes.Y, float64(pt.HostBytes))
+		spillS.Add(x, float64(pt.Spills))
+		hitS.Add(x, float64(pt.Hits))
+		aggBytes.Add(x, float64(pt.HostBytes))
 		state := "balanced"
 		if !pt.Balanced {
 			state = "UNBALANCED"

@@ -11,13 +11,12 @@ package hdlsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/apps"
 	"activesan/internal/cluster"
 	"activesan/internal/hdl"
 	"activesan/internal/iodev"
+	"activesan/internal/par"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
@@ -194,34 +193,7 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 		points[i].active = RunActive(c, cases[i].Params, data, oracle.Out, prm)
 		points[i].passive = RunPassive(c, cases[i].Params, data, oracle.Out, prm)
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	if workers <= 1 {
-		for i := range cases {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range cases {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	par.Do(len(cases), workers, runIdx)
 
 	var actLat, passLat stats.Series
 	actLat.Name = "active (compiled on switch)"
@@ -238,10 +210,8 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 				cs.Name, pt.active.Match, pt.passive.Match))
 		}
 		x := float64(i)
-		actLat.X = append(actLat.X, x)
-		actLat.Y = append(actLat.Y, pt.active.Run.Time.Micros())
-		passLat.X = append(passLat.X, x)
-		passLat.Y = append(passLat.Y, pt.passive.Run.Time.Micros())
+		actLat.Add(x, pt.active.Run.Time.Micros())
+		passLat.Add(x, pt.passive.Run.Time.Micros())
 		res.Runs = append(res.Runs, pt.active.Run, pt.passive.Run)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%-8s %d instrs, %d cycles, %d words: active %v (host I/O %d B) vs passive %v (host I/O %d B)",

@@ -10,12 +10,11 @@ package latsweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/apps/reduce"
 	"activesan/internal/cluster"
 	"activesan/internal/metrics"
+	"activesan/internal/par"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
@@ -105,40 +104,13 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 		ID:    "latsweep",
 		Title: "Per-hop latency decomposition: active vs passive reduce",
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(prm.HostCounts) {
-		workers = len(prm.HostCounts)
-	}
 	type pair struct{ passive, active Point }
 	points := make([]pair, len(prm.HostCounts))
 	runIdx := func(i int) {
 		points[i].passive = RunPoint(prm.HostCounts[i], false, prm.Reduce)
 		points[i].active = RunPoint(prm.HostCounts[i], true, prm.Reduce)
 	}
-	if workers <= 1 {
-		for i := range prm.HostCounts {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range prm.HostCounts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	par.Do(len(prm.HostCounts), workers, runIdx)
 
 	var passP50, actP50, passP99, actP99 stats.Series
 	passP50.Name = "passive e2e p50 (us)"
@@ -155,14 +127,10 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 				"p=%d: INCORRECT result (passive ok=%v, active ok=%v)", p, pp.Correct, pa.Correct))
 		}
 		x := float64(p)
-		passP50.X = append(passP50.X, x)
-		passP50.Y = append(passP50.Y, ps2us(pp.Metrics, "telemetry/e2e/p50"))
-		actP50.X = append(actP50.X, x)
-		actP50.Y = append(actP50.Y, ps2us(pa.Metrics, "telemetry/e2e/p50"))
-		passP99.X = append(passP99.X, x)
-		passP99.Y = append(passP99.Y, ps2us(pp.Metrics, "telemetry/e2e/p99"))
-		actP99.X = append(actP99.X, x)
-		actP99.Y = append(actP99.Y, ps2us(pa.Metrics, "telemetry/e2e/p99"))
+		passP50.Add(x, ps2us(pp.Metrics, "telemetry/e2e/p50"))
+		actP50.Add(x, ps2us(pa.Metrics, "telemetry/e2e/p50"))
+		passP99.Add(x, ps2us(pp.Metrics, "telemetry/e2e/p99"))
+		actP99.Add(x, ps2us(pa.Metrics, "telemetry/e2e/p99"))
 		res.Runs = append(res.Runs,
 			stats.Run{Config: fmt.Sprintf("passive/p=%d", p), Time: pp.Latency,
 				Hosts: p, Metrics: pp.Metrics},

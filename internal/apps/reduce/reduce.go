@@ -9,16 +9,15 @@
 package reduce
 
 import (
-	"time"
 	"fmt"
-	"runtime"
-	"sync"
+	"time"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
 	"activesan/internal/cache"
 	"activesan/internal/cluster"
 	"activesan/internal/host"
+	"activesan/internal/par"
 	"activesan/internal/san"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
@@ -596,37 +595,11 @@ func SweepParallel(kind Kind, nodeCounts []int, prm Params, workers int) *stats.
 		id = "fig16"
 	}
 	res := &stats.Result{ID: id, Title: fmt.Sprintf("Collective %s: latency vs nodes", kind)}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(nodeCounts) {
-		workers = len(nodeCounts)
-	}
 	points := make([]struct{ normal, active Result }, len(nodeCounts))
-	if workers <= 1 {
-		for i, p := range nodeCounts {
-			points[i].normal = Run(kind, false, p, prm)
-			points[i].active = Run(kind, true, p, prm)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					points[i].normal = Run(kind, false, nodeCounts[i], prm)
-					points[i].active = Run(kind, true, nodeCounts[i], prm)
-				}
-			}()
-		}
-		for i := range nodeCounts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	par.Do(len(nodeCounts), workers, func(i int) {
+		points[i].normal = Run(kind, false, nodeCounts[i], prm)
+		points[i].active = Run(kind, true, nodeCounts[i], prm)
+	})
 	var normal, active stats.Series
 	normal.Name = "normal (MST)"
 	active.Name = "active (switch tree)"
@@ -635,10 +608,8 @@ func SweepParallel(kind Kind, nodeCounts []int, prm Params, workers int) *stats.
 		if !rn.Correct || !ra.Correct {
 			res.Notes = append(res.Notes, fmt.Sprintf("p=%d: INCORRECT result (normal ok=%v, active ok=%v)", p, rn.Correct, ra.Correct))
 		}
-		normal.X = append(normal.X, float64(p))
-		normal.Y = append(normal.Y, rn.Latency.Micros())
-		active.X = append(active.X, float64(p))
-		active.Y = append(active.Y, ra.Latency.Micros())
+		normal.Add(float64(p), rn.Latency.Micros())
+		active.Add(float64(p), ra.Latency.Micros())
 	}
 	sp := stats.SpeedupSeries("speedup", normal, active)
 	res.Series = []stats.Series{normal, active, sp}

@@ -110,6 +110,12 @@ func runExchangeFull(hosts, k, parts int) (run, busy, proj time.Duration, evTota
 	}
 	c.Start()
 	const rounds = 32
+	// Flow ids start at 1: the NIC replaces flow 0 with a fresh id, which
+	// would leave the partner's RecvFlow waiting forever.
+	flow := func(r, i int) int64 { return int64(r*hosts+i) + 1 }
+	// received[i] counts host i's completed RecvFlows; each host writes only
+	// its own slot, so partitions running in parallel never share one.
+	received := make([]int, hosts)
 	for i := 0; i < hosts; i++ {
 		i := i
 		h := c.Host(i)
@@ -120,16 +126,22 @@ func runExchangeFull(hosts, k, parts int) (run, busy, proj time.Duration, evTota
 					partner = (i + hosts/2) % hosts
 				}
 				h.SendMessage(p, &san.Message{
-					Hdr:  san.Header{Dst: c.Host(partner).ID(), Type: san.Data, Flow: int64(r*hosts + i)},
+					Hdr:  san.Header{Dst: c.Host(partner).ID(), Type: san.Data, Flow: flow(r, i)},
 					Size: 4 << 10,
 				}, 0)
-				h.RecvFlow(p, c.Host(partner).ID(), int64(r*hosts+partner))
+				h.RecvFlow(p, c.Host(partner).ID(), flow(r, partner))
+				received[i]++
 			}
 		})
 	}
 	z := time.Now()
 	end = c.Run()
 	run = time.Since(z)
+	for i, n := range received {
+		if n != rounds {
+			panic(fmt.Sprintf("exchange incomplete: host %d received %d of %d flows", i, n, rounds))
+		}
+	}
 	if c.Group != nil {
 		busy = c.Group.BusyTime()
 		proj = run - busy + c.Group.CriticalPath()

@@ -11,11 +11,10 @@ package scalesweep
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/apps/reduce"
 	"activesan/internal/cluster"
+	"activesan/internal/par"
 	"activesan/internal/sim"
 	"activesan/internal/stats"
 )
@@ -95,12 +94,6 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 		ID:    "scalesweep",
 		Title: "Reduce at scale on k-ary fat trees: active vs passive",
 	}
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(prm.HostCounts) {
-		workers = len(prm.HostCounts)
-	}
 	parts := prm.Partitions
 	if parts < 0 {
 		parts = cluster.DefaultPartitions()
@@ -111,28 +104,7 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 		points[i].passive = RunPointParts(prm.HostCounts[i], false, prm.Reduce, parts)
 		points[i].active = RunPointParts(prm.HostCounts[i], true, prm.Reduce, parts)
 	}
-	if workers <= 1 {
-		for i := range prm.HostCounts {
-			runIdx(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runIdx(i)
-				}
-			}()
-		}
-		for i := range prm.HostCounts {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	par.Do(len(prm.HostCounts), workers, runIdx)
 
 	var passLat, actLat, passBytes, actBytes stats.Series
 	passLat.Name = "passive (host MST)"
@@ -146,14 +118,10 @@ func RunAllParallel(prm Params, workers int) *stats.Result {
 				"p=%d: INCORRECT result (passive ok=%v, active ok=%v)", p, pp.Correct, pa.Correct))
 		}
 		x := float64(p)
-		passLat.X = append(passLat.X, x)
-		passLat.Y = append(passLat.Y, pp.Latency.Micros())
-		actLat.X = append(actLat.X, x)
-		actLat.Y = append(actLat.Y, pa.Latency.Micros())
-		passBytes.X = append(passBytes.X, x)
-		passBytes.Y = append(passBytes.Y, float64(pp.HostBytes))
-		actBytes.X = append(actBytes.X, x)
-		actBytes.Y = append(actBytes.Y, float64(pa.HostBytes))
+		passLat.Add(x, pp.Latency.Micros())
+		actLat.Add(x, pa.Latency.Micros())
+		passBytes.Add(x, float64(pp.HostBytes))
+		actBytes.Add(x, float64(pa.HostBytes))
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"p=%-3d k=%d (%d switches): host I/O %d B active vs %d B passive (%.2fx less), latency %v vs %v",
 			p, pa.K, pa.Switches, pa.HostBytes, pp.HostBytes,

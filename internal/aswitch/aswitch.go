@@ -136,13 +136,16 @@ type ActiveSwitch struct {
 	mem   *memsys.RDRAM
 	space *memsys.AddressSpace
 
-	cpus   []*SwitchCPU
-	dba    *DBA
+	cpus []*SwitchCPU
+	dba  *DBA
+	// disp holds the dispatch unit's per-input-port state, made on a
+	// port's first local delivery.
+	disp   []*dispatch
 	jump   [san.MaxHandlerID + 1]*handlerEntry
 	states map[int]any
 
 	// mapSig fires whenever an ATB mapping is installed or released, waking
-	// dispatch processes waiting on slot conflicts and handlers waiting on
+	// dispatch units waiting on slot conflicts and handlers waiting on
 	// stream data.
 	mapSig *sim.Signal
 
@@ -176,6 +179,7 @@ func New(eng *sim.Engine, id san.NodeID, name string, cfg Config) *ActiveSwitch 
 		mem:    memsys.New(eng, name+".mem", cfg.Mem),
 		space:  memsys.NewAddressSpace(0, 1<<30),
 		dba:    NewDBA(cfg.NumBuffers, cfg.OutReserve),
+		disp:   make([]*dispatch, cfg.Base.Ports),
 		states: make(map[int]any),
 		mapSig: sim.NewSignal(),
 	}
@@ -199,9 +203,6 @@ func New(eng *sim.Engine, id san.NodeID, name string, cfg Config) *ActiveSwitch 
 	s.Switch.SetLocalSink(s)
 	return s
 }
-
-// Config returns the active configuration.
-func (s *ActiveSwitch) ActiveConfig() Config { return s.cfg }
 
 // Mem returns the switch's local memory channel.
 func (s *ActiveSwitch) Mem() *memsys.RDRAM { return s.mem }
@@ -273,7 +274,13 @@ func (s *ActiveSwitch) Restart() {
 // notifyCrash tells an invoker its handler died, via a best-effort Control
 // packet through the still-working base switch.
 func (s *ActiveSwitch) notifyCrash(p *sim.Proc, dst san.NodeID, handler int, flow int64) {
-	pkt := &san.Packet{
+	// An unroutable invoker means nobody to notify; drop the notice.
+	_ = s.Inject(p, s.crashNotice(dst, handler, flow))
+}
+
+// crashNotice builds the Control packet telling dst its handler died.
+func (s *ActiveSwitch) crashNotice(dst san.NodeID, handler int, flow int64) *san.Packet {
+	return &san.Packet{
 		Hdr: san.Header{
 			Src: s.ID(), Dst: dst, Type: san.Control,
 			Flow: s.NextFlow(), Last: true,
@@ -281,8 +288,6 @@ func (s *ActiveSwitch) notifyCrash(p *sim.Proc, dst san.NodeID, handler int, flo
 		Size:    16,
 		Payload: CrashNotice{Handler: handler, Flow: flow},
 	}
-	// An unroutable invoker means nobody to notify; drop the notice.
-	_ = s.Inject(p, pkt)
 }
 
 // HandlerStatsFor returns the per-handler counters for a jump-table entry.
@@ -329,7 +334,7 @@ func (s *ActiveSwitch) SetState(id int, state any) { s.states[id] = state }
 // HandlerState returns the state attached to a handler id.
 func (s *ActiveSwitch) HandlerState(id int) any { return s.states[id] }
 
-// Start launches the base switch port processes and the switch CPUs.
+// Start starts the base switch port pipelines and spawns the switch CPUs.
 func (s *ActiveSwitch) Start() {
 	s.Switch.Start()
 	for _, c := range s.cpus {
@@ -346,25 +351,59 @@ func (s *ActiveSwitch) NextFlow() int64 {
 
 // Deliver implements san.LocalSink: the dispatch unit. It admits the packet
 // into a data buffer, maps it into the owning CPU's ATB, and — for the
-// first packet of an active message — queues a handler invocation. It runs
-// in the input port's process, so blocking here is the credit backpressure
-// the paper relies on.
-func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
-	var tstart sim.Time
-	if pkt.Stamp != nil {
-		tstart = p.Now()
+// first packet of an active message — queues a handler invocation. The
+// input port holds the packet's credit until done runs, so waiting for a
+// buffer or an ATB slot here is the credit backpressure the paper relies on.
+func (s *ActiveSwitch) Deliver(port int, pkt *san.Packet, fillRate float64, done func(reply *san.Packet)) {
+	d := s.disp[port]
+	if d == nil {
+		d = s.newDispatch()
+		s.disp[port] = d
 	}
-	p.Sleep(s.cfg.DispatchLatency)
+	d.pkt, d.fill, d.done, d.tstart = pkt, fillRate, done, s.eng.Now()
+	s.eng.After(s.cfg.DispatchLatency, d.latched)
+}
+
+// dispatch is the dispatch unit's state for one input port: the packet in
+// delivery and Deliver's continuations, bound once.
+type dispatch struct {
+	s      *ActiveSwitch
+	pkt    *san.Packet
+	fill   float64
+	tstart sim.Time
+	c      *SwitchCPU
+	buf    *DataBuffer
+	done   func(reply *san.Packet)
+
+	latched          func()
+	admitted, mapped sim.Waiter
+}
+
+func (s *ActiveSwitch) newDispatch() *dispatch {
+	d := &dispatch{s: s}
+	d.latched = d.dispatch
+	d.admitted = s.eng.Waiter(d.admit)
+	d.mapped = s.eng.Waiter(d.remap)
+	return d
+}
+
+// dispatch runs once the dispatch latency has elapsed.
+func (d *dispatch) dispatch() {
+	s, pkt := d.s, d.pkt
 	if s.crashed {
-		// The active plane is down: refuse invocations (telling the invoker
-		// why) and discard stream data. The input port returns the credit as
-		// usual, so the fabric stays live around the dead handler plane.
+		// The active plane is down: refuse invocations (the input port
+		// injects the notice telling the invoker why) and discard stream
+		// data. The input port returns the credit as usual, so the fabric
+		// stays live around the dead handler plane.
 		if pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0 {
 			s.crash.Rejected++
-			s.notifyCrash(p, pkt.Hdr.Src, pkt.Hdr.HandlerID, pkt.Hdr.Flow)
-		} else if pkt.Size > 0 {
+			d.reply(s.crashNotice(pkt.Hdr.Src, pkt.Hdr.HandlerID, pkt.Hdr.Flow))
+			return
+		}
+		if pkt.Size > 0 {
 			s.crash.DataDropped++
 		}
+		d.finish()
 		return
 	}
 	cpuID := pkt.Hdr.CPUID
@@ -379,41 +418,73 @@ func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
 	if cpuID >= len(s.cpus) {
 		cpuID = 0
 	}
-	c := s.cpus[cpuID]
-
-	if pkt.Size > 0 {
-		buf := s.dba.AllocInput(p)
-		if s.crashed {
-			// The crash landed while we blocked for a buffer: give it back
-			// and discard, or the scrubbed DBA would leak this slot.
-			s.dba.Free(buf)
-			s.crash.DataDropped++
-			return
-		}
-		buf.addr = pkt.Hdr.Addr
-		buf.size = pkt.Size
-		buf.fillStart = p.Now()
-		buf.fillRate = fillRate
-		buf.lineBytes = s.cfg.ValidLineBytes
-		buf.last = pkt.Hdr.Last
-		buf.payload = pkt.Payload
-		for !c.atb.CanInstall(buf) {
-			s.mapSig.Wait(p)
-			if s.crashed {
-				s.dba.Free(buf)
-				s.crash.DataDropped++
-				return
-			}
-		}
-		c.atb.Install(buf)
-		c.arrivals = append(c.arrivals, buf)
-		s.stats.PacketsAdmitted++
+	d.c = s.cpus[cpuID]
+	if pkt.Size == 0 {
+		d.invoke()
+		return
 	}
+	if s.dba.inputPermits.AcquireOr(d.admitted) {
+		d.admit()
+	}
+}
 
+// admit fills a data buffer, holding an input admission slot.
+func (d *dispatch) admit() {
+	s, pkt := d.s, d.pkt
+	buf := s.dba.take(false)
+	if s.crashed {
+		// The crash landed while we waited for a buffer: give it back and
+		// discard, or the scrubbed DBA would leak this slot.
+		s.dba.Free(buf)
+		s.crash.DataDropped++
+		d.finish()
+		return
+	}
+	buf.addr = pkt.Hdr.Addr
+	buf.size = pkt.Size
+	buf.fillStart = s.eng.Now()
+	buf.fillRate = d.fill
+	buf.lineBytes = s.cfg.ValidLineBytes
+	buf.last = pkt.Hdr.Last
+	buf.payload = pkt.Payload
+	d.buf = buf
+	d.install()
+}
+
+// install maps the buffer into the CPU's ATB once its slot is free.
+func (d *dispatch) install() {
+	c := d.c
+	if !c.atb.CanInstall(d.buf) {
+		d.s.mapSig.Notify(d.mapped)
+		return
+	}
+	c.atb.Install(d.buf)
+	c.arrivals = append(c.arrivals, d.buf)
+	d.buf = nil
+	d.s.stats.PacketsAdmitted++
+	d.invoke()
+}
+
+// remap retries the ATB install after a mapping changed.
+func (d *dispatch) remap() {
+	if s := d.s; s.crashed {
+		s.dba.Free(d.buf)
+		d.buf = nil
+		s.crash.DataDropped++
+		d.finish()
+		return
+	}
+	d.install()
+}
+
+// invoke queues the handler invocation an active message's first packet
+// carries, then completes the delivery.
+func (d *dispatch) invoke() {
+	s, pkt := d.s, d.pkt
 	if pkt.Hdr.Type == san.ActiveMsg && pkt.Hdr.Seq == 0 {
 		inv := &Invocation{
 			HandlerID: pkt.Hdr.HandlerID,
-			CPUID:     cpuID,
+			CPUID:     d.c.id,
 			Src:       pkt.Hdr.Src,
 			BaseAddr:  pkt.Hdr.Addr,
 			Flow:      pkt.Hdr.Flow,
@@ -425,19 +496,31 @@ func (s *ActiveSwitch) Deliver(p *sim.Proc, pkt *san.Packet, fillRate float64) {
 		}
 		if s.eng.Tracing() {
 			s.eng.Emit("handler", "dispatch", s.Name(),
-				fmt.Sprintf("dispatch handler=%d cpu=%d src=%d", inv.HandlerID, cpuID, inv.Src))
+				fmt.Sprintf("dispatch handler=%d cpu=%d src=%d", inv.HandlerID, inv.CPUID, inv.Src))
 		}
-		c.invq.Put(inv)
+		d.c.invq.Put(inv)
 	}
 	if st := pkt.Stamp; st != nil && s.complete != nil {
 		// The packet terminates here: dispatch plus data-buffer admission is
 		// its active-plane hop; handler execution time is reported separately
 		// through the handlerDone hook (it runs asynchronously on the switch
 		// CPU, after this packet's life ends).
-		st.Add(san.HopHandler, s.Name(), tstart, p.Now())
-		s.complete(st, p.Now(), pkt.Hdr.Type)
+		now := s.eng.Now()
+		st.Add(san.HopHandler, s.Name(), d.tstart, now)
+		s.complete(st, now, pkt.Hdr.Type)
 	}
 	s.mapSig.Fire()
+	d.finish()
+}
+
+// finish completes the delivery.
+func (d *dispatch) finish() { d.reply(nil) }
+
+// reply completes the delivery, handing the input port a packet to inject.
+func (d *dispatch) reply(pkt *san.Packet) {
+	done := d.done
+	d.pkt, d.c, d.done = nil, nil, nil
+	done(pkt)
 }
 
 // SwitchCPU is one embedded processor with its private ATB, caches and

@@ -115,16 +115,25 @@ func TestATBReleaseBelowPartial(t *testing.T) {
 	}
 }
 
+// endpoint is a test node's view of its switch port: In carries packets
+// from the switch into the node's input buffer Rx, Out carries packets
+// toward the switch.
+type endpoint struct {
+	In, Out *san.Link
+	Rx      *sim.Queue[*san.Packet]
+}
+
 // rig builds an active switch with n endpoint ports; eps[i] is the
 // endpoint-side port for node i.
-func rig(eng *sim.Engine, n int, cfg Config) (*ActiveSwitch, []san.Port) {
+func rig(eng *sim.Engine, n int, cfg Config) (*ActiveSwitch, []endpoint) {
 	sw := New(eng, san.NodeID(100), "asw", cfg)
-	eps := make([]san.Port, n)
+	eps := make([]endpoint, n)
 	for i := 0; i < n; i++ {
 		up := san.NewLink(eng, "up", cfg.Base.Link)
 		down := san.NewLink(eng, "down", cfg.Base.Link)
 		sw.AttachPort(i, up, down)
-		eps[i] = san.Port{In: down, Out: up}
+		eps[i] = endpoint{In: down, Out: up, Rx: sim.NewQueue[*san.Packet]()}
+		down.SetReceiver(eps[i].Rx.Put)
 		sw.SetRoute(san.NodeID(i), i)
 	}
 	return sw, eps
@@ -147,7 +156,7 @@ func TestHandlerInvocationAndReply(t *testing.T) {
 			Hdr:  san.Header{Src: 1, Dst: sw.ID(), Type: san.ActiveMsg, HandlerID: 3, Addr: 0x2000, CPUID: -1, Flow: 42, Last: true},
 			Size: 64, Payload: "args",
 		})
-		reply = eps[1].In.Recv(p)
+		reply = eps[1].Rx.Get(p)
 		eps[1].In.ReturnCredit()
 	})
 	eng.Run()
@@ -195,7 +204,7 @@ func TestStreamProcessingBackpressure(t *testing.T) {
 		})
 		m := &san.Message{Hdr: san.Header{Src: 0, Dst: sw.ID(), Type: san.Data, Addr: base, Flow: 8}, Size: pkts * 512}
 		for _, pkt := range m.Packets(nil) {
-			eps[0].Out.SendAsync(p, pkt)
+			eps[0].Out.Send(p, pkt)
 		}
 	})
 	eng.Run()
@@ -303,7 +312,7 @@ func TestForwardZeroCopy(t *testing.T) {
 		})
 	})
 	eng.Spawn("dst", func(p *sim.Proc) {
-		got = eps[2].In.Recv(p)
+		got = eps[2].Rx.Get(p)
 		eps[2].In.ReturnCredit()
 	})
 	eng.Run()
@@ -374,7 +383,7 @@ func TestNextArrivalInterleavedStreams(t *testing.T) {
 			base := int64(s) * (1 << 16)
 			m := &san.Message{Hdr: san.Header{Src: san.NodeID(s), Dst: sw.ID(), Type: san.Data, Addr: base, Flow: int64(s + 1)}, Size: per * 512}
 			for _, pkt := range m.Packets(nil) {
-				eps[s].Out.SendAsync(p, pkt)
+				eps[s].Out.Send(p, pkt)
 			}
 		})
 	}
@@ -483,7 +492,7 @@ func TestPerHandlerStats(t *testing.T) {
 	})
 	eng.Spawn("sink", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			eps[0].In.Recv(p)
+			eps[0].Rx.Get(p)
 			eps[0].In.ReturnCredit()
 		}
 	})

@@ -214,15 +214,7 @@ type SendSpec struct {
 // idle time, not busy time.
 func (x *Ctx) Send(spec SendSpec) {
 	x.checkCrash()
-	hdr := san.Header{
-		Src:       x.sw.ID(),
-		Dst:       spec.Dst,
-		Type:      spec.Type,
-		HandlerID: spec.HandlerID,
-		CPUID:     spec.CPUID,
-		Addr:      spec.Addr,
-		Flow:      spec.Flow,
-	}
+	hdr := x.header(spec)
 	if hdr.Flow == 0 {
 		hdr.Flow = x.sw.NextFlow()
 	}
@@ -233,17 +225,11 @@ func (x *Ctx) Send(spec SendSpec) {
 		words := (pkt.Size + wordBytes - 1) / wordBytes
 		x.c.cpu.Compute(x.p, words+packetHeaderCost)
 		x.c.cpu.Flush(x.p)
-		if x.sw.stamp != nil {
-			pkt.Stamp = x.sw.stamp(x.p.Now())
-		}
-		if err := x.sw.Inject(x.p, pkt); err != nil {
-			x.sw.dba.Free(buf)
+		err := x.inject(pkt)
+		x.sw.dba.Free(buf)
+		if err != nil {
 			panic(err)
 		}
-		x.sw.dba.Free(buf)
-		x.sw.stats.PacketsSent++
-		x.sw.stats.BytesSent += pkt.Size
-		x.sw.perHandler[x.inv.HandlerID].BytesSent += pkt.Size
 	}
 	x.sw.stats.MessagesSent++
 	x.sw.perHandler[x.inv.HandlerID].MessagesSent++
@@ -255,7 +241,22 @@ func (x *Ctx) Send(spec SendSpec) {
 // header cost. The source buffer stays mapped until Deallocate.
 func (x *Ctx) Forward(spec SendSpec, src *DataBuffer, seq int, last bool) {
 	x.waitValid(src.TailValidAt())
-	hdr := san.Header{
+	hdr := x.header(spec)
+	hdr.Seq, hdr.Last = seq, last
+	if hdr.Flow == 0 {
+		panic("aswitch: Forward requires an explicit flow id")
+	}
+	pkt := &san.Packet{Hdr: hdr, Size: src.size, Payload: src.payload}
+	x.c.cpu.Compute(x.p, packetHeaderCost)
+	x.c.cpu.Flush(x.p)
+	if err := x.inject(pkt); err != nil {
+		panic(err)
+	}
+}
+
+// header is the switch-sourced header spec describes.
+func (x *Ctx) header(spec SendSpec) san.Header {
+	return san.Header{
 		Src:       x.sw.ID(),
 		Dst:       spec.Dst,
 		Type:      spec.Type,
@@ -263,24 +264,22 @@ func (x *Ctx) Forward(spec SendSpec, src *DataBuffer, seq int, last bool) {
 		CPUID:     spec.CPUID,
 		Addr:      spec.Addr,
 		Flow:      spec.Flow,
-		Seq:       seq,
-		Last:      last,
 	}
-	if hdr.Flow == 0 {
-		panic("aswitch: Forward requires an explicit flow id")
-	}
-	pkt := &san.Packet{Hdr: hdr, Size: src.size, Payload: src.payload}
-	x.c.cpu.Compute(x.p, packetHeaderCost)
-	x.c.cpu.Flush(x.p)
+}
+
+// inject sources one handler packet through the crossbar, stamped when
+// telemetry is armed, and counts it.
+func (x *Ctx) inject(pkt *san.Packet) error {
 	if x.sw.stamp != nil {
 		pkt.Stamp = x.sw.stamp(x.p.Now())
 	}
 	if err := x.sw.Inject(x.p, pkt); err != nil {
-		panic(err)
+		return err
 	}
 	x.sw.stats.PacketsSent++
 	x.sw.stats.BytesSent += pkt.Size
 	x.sw.perHandler[x.inv.HandlerID].BytesSent += pkt.Size
+	return nil
 }
 
 // Proc exposes the underlying process for integration points (e.g. the Tar

@@ -9,12 +9,14 @@
 package cliflags
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"activesan/internal/cluster"
 	"activesan/internal/collective"
@@ -28,6 +30,9 @@ import (
 
 // Common holds the flag values shared by the commands.
 type Common struct {
+	// Trace is activesim's -trace path, a plain-text event trace. The
+	// command declares that flag itself; Setup installs it like -trace-out.
+	Trace      string
 	TraceOut   string
 	TraceLimit int
 	MetricsOut string
@@ -111,6 +116,9 @@ func (c *Common) Setup() (cleanup func(), err error) {
 	if c.FaultSeed != 0 && c.Faults == "" {
 		return noop, fmt.Errorf("-fault-seed has no effect without -faults")
 	}
+	if c.Trace != "" && c.TraceOut != "" {
+		return noop, fmt.Errorf("-trace and -trace-out share the trace hook; pick one")
+	}
 	kind, k, err := parseTopology(c.Topology)
 	if err != nil {
 		return noop, fmt.Errorf("-topology: %w", err)
@@ -183,15 +191,44 @@ func (c *Common) Setup() (cleanup func(), err error) {
 		}
 	}
 
-	// Install the trace sink: the flight recorder tees in front of the
-	// Chrome writer (or records alone when there is no -trace-out).
+	// The trace sink: the flight recorder tees in front of the Chrome or
+	// plain-text writer (or records alone when there is neither).
+	var next sim.TraceSink
+	closeText := func() {}
 	switch {
-	case c.FR != nil && w != nil:
-		sim.SetDefaultTraceSink(c.FR.Sink(w.Sink()))
-	case c.FR != nil:
-		sim.SetDefaultTraceSink(c.FR.Sink(nil))
 	case w != nil:
-		sim.SetDefaultTraceSink(w.Sink())
+		next = w.Sink()
+	case c.Trace != "":
+		f, err := os.Create(c.Trace)
+		if err != nil {
+			stopProf()
+			return noop, fmt.Errorf("-trace: %w", err)
+		}
+		// "<time> comp: detail" lines, at most TraceLimit of them; the
+		// mutex lets -parallel engines share the file.
+		tw := bufio.NewWriter(f)
+		var mu sync.Mutex
+		lines := 0
+		next = func(ev sim.TraceEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			if lines < c.TraceLimit {
+				lines++
+				fmt.Fprintf(tw, "%-14v %s\n", ev.At, ev.String())
+			}
+		}
+		closeText = func() {
+			if err := tw.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+			}
+			f.Close()
+		}
+	}
+	switch {
+	case c.FR != nil:
+		sim.SetDefaultTraceSink(c.FR.Sink(next))
+	case next != nil:
+		sim.SetDefaultTraceSink(next)
 	}
 
 	out, frOut, fr := c.TraceOut, c.FlightRec, c.FR
@@ -203,6 +240,7 @@ func (c *Common) Setup() (cleanup func(), err error) {
 				fmt.Fprintf(os.Stderr, "wrote flight-recorder dump to %s\n", frOut)
 			}
 		}
+		closeText()
 		if w != nil {
 			if err := w.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, err)

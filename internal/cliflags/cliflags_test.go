@@ -228,6 +228,69 @@ func TestCleanupFlushesOnCrash(t *testing.T) {
 	}
 }
 
+func TestTextTraceKeepsFlightRecorder(t *testing.T) {
+	// -trace composes behind the flight recorder like -trace-out: the
+	// plain-text trace and the crash dump are both written.
+	defer func() {
+		sim.SetDefaultTraceSink(nil)
+		fault.SetDefault(nil, 0)
+	}()
+	dir := t.TempDir()
+	planPath := filepath.Join(dir, "crash.json")
+	plan := `{"events": [{"at_ns": 50000, "kind": "handler_crash", "switch": 0}]}`
+	if err := os.WriteFile(planPath, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := &Common{
+		Trace:      filepath.Join(dir, "trace.txt"),
+		TraceLimit: 100000,
+		Faults:     planPath,
+		FlightRec:  filepath.Join(dir, "flight.txt"),
+	}
+	cleanup, err := c.Setup()
+	if err != nil {
+		t.Fatalf("Setup: %v", err)
+	}
+	prm := mpeg.DefaultParams()
+	prm.FileSize = 256 * 1024
+	dp, seed := fault.Default()
+	c.RunProtected(func() int {
+		mpeg.RunFaulted(apps.Active, prm, dp, seed)
+		return 0
+	})
+	cleanup()
+
+	dump, err := os.ReadFile(c.FlightRec)
+	if err != nil {
+		t.Fatalf("-trace silenced the flight recorder: %v", err)
+	}
+	if !strings.Contains(string(dump), "handler_crash") {
+		t.Errorf("dump lacks the crash event:\n%s", dump)
+	}
+	text, err := os.ReadFile(c.Trace)
+	if err != nil {
+		t.Fatalf("no text trace: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(text)), "\n")
+	// "<time padded to 14> comp: detail", as activesim -trace always wrote.
+	if len(lines) < 2 || len(lines[0]) < 16 || lines[0][14] != ' ' {
+		t.Fatalf("text trace malformed (%d lines), first: %q", len(lines), lines[0])
+	}
+	if !strings.Contains(string(text), "active plane down") {
+		t.Error("text trace lacks the crash event")
+	}
+}
+
+func TestSetupRejectsTwoTraceFormats(t *testing.T) {
+	dir := t.TempDir()
+	c := &Common{Trace: filepath.Join(dir, "t.txt"), TraceOut: filepath.Join(dir, "t.json")}
+	cleanup, err := c.Setup()
+	if err == nil || !strings.Contains(err.Error(), "pick one") {
+		t.Fatalf("err = %v, want -trace/-trace-out rejected together", err)
+	}
+	cleanup()
+}
+
 func TestSetupMetricsOutCreatesParent(t *testing.T) {
 	dir := t.TempDir()
 	c := &Common{MetricsOut: filepath.Join(dir, "sub", "metrics.json")}

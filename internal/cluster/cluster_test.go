@@ -415,3 +415,28 @@ func TestTreeConfigValidation(t *testing.T) {
 	}()
 	NewTreeCluster(eng, TreeConfig{Hosts: 0})
 }
+
+// TestStartSpawnsOnlyBlockingProcs pins the process layout: the fabric —
+// switch ports, links, NICs, TCAs, dispatch units — is event-driven, so
+// after Start the only live processes are the switch CPUs and the disk
+// service loops, the components whose code blocks mid-computation.
+func TestStartSpawnsOnlyBlockingProcs(t *testing.T) {
+	ft := DefaultFatTreeConfig(256)
+	ft.K = 16
+	ft.Switch = aswitch.DefaultConfig(16)
+	fat := NewFatTreeCluster(sim.NewEngine(), ft)
+	fat.Start()
+	defer fat.Shutdown()
+	if got := fat.Eng.LiveProcs(); got != 320 || len(fat.Switches) != 320 {
+		t.Fatalf("k=16 fat tree: %d live procs for %d switches, want 320 (one CPU each)", got, len(fat.Switches))
+	}
+
+	io := DefaultIOClusterConfig()
+	io.Hosts, io.Stores = 4, 4
+	c := NewIOCluster(sim.NewEngine(), io)
+	c.Start()
+	defer c.Shutdown()
+	if got := c.Eng.LiveProcs(); got != 5 {
+		t.Fatalf("I/O cluster with 4 hosts and 4 stores: %d live procs, want 5 (switch CPU + 4 disk loops)", got)
+	}
+}

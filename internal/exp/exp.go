@@ -7,8 +7,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"activesan/internal/apps/collsweep"
 	"activesan/internal/apps/faultsweep"
@@ -24,6 +22,7 @@ import (
 	"activesan/internal/apps/sel"
 	"activesan/internal/apps/tarapp"
 	"activesan/internal/apps/twolevel"
+	"activesan/internal/par"
 	"activesan/internal/stats"
 )
 
@@ -342,48 +341,13 @@ func RunAllExperiments(scale int64) []*stats.Result {
 // regardless of completion order, making parallel output byte-identical to
 // a sequential run. workers < 1 selects runtime.NumCPU().
 func RunAll(scale int64, workers int) []*stats.Result {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(Registry) {
-		workers = len(Registry)
-	}
 	out := make([]*stats.Result, len(Registry))
-	if workers == 1 {
-		for i, e := range Registry {
-			out[i] = e.Run(scale)
-		}
-		return out
-	}
 	// A panicking experiment (fault-plan crash under -strict-routes, an
-	// invariant failure) must not kill its worker goroutine where the CLI's
-	// recover cannot see it: capture per-experiment panics and re-raise the
-	// first one — in registry order, for determinism — on the caller's
-	// goroutine after the pool drains, so deferred output flushing runs.
-	panics := make([]any, len(Registry))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func() {
-					defer func() { panics[i] = recover() }()
-					out[i] = Registry[i].Run(scale)
-				}()
-			}
-		}()
-	}
-	for i := range Registry {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("exp: experiment %s panicked: %v", Registry[i].ID, p))
-		}
+	// invariant failure) is re-raised — the first in registry order, for
+	// determinism — on the caller's goroutine after the pool drains, so
+	// deferred output flushing runs.
+	if i, p := par.For(len(Registry), workers, func(i int) { out[i] = Registry[i].Run(scale) }); p != nil {
+		panic(fmt.Sprintf("exp: experiment %s panicked: %v", Registry[i].ID, p))
 	}
 	return out
 }

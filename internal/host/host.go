@@ -253,19 +253,31 @@ func (h *Host) RecvFlow(p *sim.Proc, src san.NodeID, flow int64) *nic.Completion
 	key := flowKey{src: src, flow: flow}
 	h.cpu.Flush(p)
 	for {
-		if q := h.held[key]; len(q) > 0 {
-			c := q[0]
-			if len(q) == 1 {
-				delete(h.held, key)
-			} else {
-				h.held[key] = q[1:]
-			}
+		if c, ok := h.takeHeld(key); ok {
 			return c
 		}
-		c := h.hca.Recv(p)
-		k := flowKey{src: c.Hdr.Src, flow: c.Hdr.Flow}
-		h.held[k] = append(h.held[k], c)
+		h.hold(h.hca.Recv(p))
 	}
+}
+
+// hold buffers a completion until its flow is asked for.
+func (h *Host) hold(c *nic.Completion) {
+	k := flowKey{src: c.Hdr.Src, flow: c.Hdr.Flow}
+	h.held[k] = append(h.held[k], c)
+}
+
+// takeHeld removes the oldest buffered completion of a flow.
+func (h *Host) takeHeld(key flowKey) (*nic.Completion, bool) {
+	q := h.held[key]
+	if len(q) == 0 {
+		return nil, false
+	}
+	if len(q) == 1 {
+		delete(h.held, key)
+	} else {
+		h.held[key] = q[1:]
+	}
+	return q[0], true
 }
 
 // TryRecvFlow returns a completion for (src, flow) if one has already
@@ -273,25 +285,10 @@ func (h *Host) RecvFlow(p *sim.Proc, src san.NodeID, flow int64) *nic.Completion
 // credits over bulk data so the host issues its next I/O request before
 // sinking into per-chunk processing.
 func (h *Host) TryRecvFlow(src san.NodeID, flow int64) (*nic.Completion, bool) {
-	for {
-		c, ok := h.hca.TryRecv()
-		if !ok {
-			break
-		}
-		k := flowKey{src: c.Hdr.Src, flow: c.Hdr.Flow}
-		h.held[k] = append(h.held[k], c)
+	for c, ok := h.hca.TryRecv(); ok; c, ok = h.hca.TryRecv() {
+		h.hold(c)
 	}
-	key := flowKey{src: src, flow: flow}
-	if q := h.held[key]; len(q) > 0 {
-		c := q[0]
-		if len(q) == 1 {
-			delete(h.held, key)
-		} else {
-			h.held[key] = q[1:]
-		}
-		return c, true
-	}
-	return nil, false
+	return h.takeHeld(flowKey{src: src, flow: flow})
 }
 
 // RecvAny blocks for the next completion of any flow, charging the polling
@@ -308,13 +305,7 @@ func (h *Host) RecvAny(p *sim.Proc) *nic.Completion {
 				best, found = k, true
 			}
 		}
-		q := h.held[best]
-		c = q[0]
-		if len(q) == 1 {
-			delete(h.held, best)
-		} else {
-			h.held[best] = q[1:]
-		}
+		c, _ = h.takeHeld(best)
 	} else {
 		c = h.hca.Recv(p)
 	}

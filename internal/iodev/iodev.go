@@ -175,8 +175,11 @@ type DiskInjector interface {
 // always-fail plan degrades a run instead of hanging it.
 const maxDiskAttempts = 64
 
-// StorageNode is a TCA plus its SCSI bus and disk stripe.
+// StorageNode is a TCA plus its SCSI bus and disk stripe. The embedded
+// Endpoint is the TCA's receive side and the optional reliability layer
+// (EnableReliability, SetRelFilter, RelStats).
 type StorageNode struct {
+	*san.Endpoint
 	eng  *sim.Engine
 	id   san.NodeID
 	name string
@@ -202,12 +205,9 @@ type StorageNode struct {
 	// writes tracks expected write streams by flow id.
 	writes map[int64]*writeState
 
-	// Optional fault injection and reliability (nil unless armed).
+	// Optional fault injection (nil unless armed).
 	dinj   DiskInjector
 	dretry sim.Time
-	tx     *san.TxTracker
-	rel    *san.RxTracker
-	rtxq   *sim.Queue[*san.Packet]
 
 	// Telemetry hooks (nil = off): stamp mints in-band records for read
 	// data leaving the node, complete consumes them when stamped write
@@ -261,6 +261,7 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, cfg Con
 		fcpu:    sim.NewServer(eng, name+".fcpu"),
 		writes:  make(map[int64]*writeState),
 	}
+	s.Endpoint = san.NewEndpoint(eng, id, in, out, s.accept, nil)
 	if cfg.Disk.Disks > 1 {
 		s.spindles = make([]spindle, cfg.Disk.Disks)
 	}
@@ -324,88 +325,19 @@ func (s *StorageNode) SetDiskFaults(inj DiskInjector, retry sim.Time) {
 	s.dretry = retry
 }
 
-// EnableReliability arms end-to-end retransmission on the TCA, mirroring
-// nic.NIC.EnableReliability. Must run before Start.
-func (s *StorageNode) EnableReliability(cfg san.RetxConfig) *san.TxTracker {
-	if s.started {
-		panic("iodev: EnableReliability after Start")
-	}
-	if s.tx != nil {
-		return s.tx
-	}
-	s.rtxq = sim.NewQueue[*san.Packet]()
-	enqueue := func(pkt *san.Packet) { s.rtxq.Put(pkt) }
-	s.tx = san.NewTxTracker(s.eng, cfg, enqueue)
-	s.rel = san.NewRxTracker(s.id, enqueue)
-	return s.tx
-}
-
-// ReliabilityEnabled reports whether EnableReliability ran.
-func (s *StorageNode) ReliabilityEnabled() bool { return s.tx != nil }
-
-// SetRelFilter restricts both reliability trackers to peers that speak the
-// protocol, mirroring nic.NIC.SetRelFilter.
-func (s *StorageNode) SetRelFilter(fn func(san.NodeID) bool) {
-	if s.tx != nil {
-		s.tx.SetTrackable(fn)
-		s.rel.SetTrackable(fn)
-	}
-}
-
-// RelStats returns the reliability counters (zero when disabled).
-func (s *StorageNode) RelStats() (san.TxStats, san.RxStats) {
-	if s.tx == nil {
-		return san.TxStats{}, san.RxStats{}
-	}
-	return s.tx.Stats(), s.rel.Stats()
-}
-
-// Start spawns the TCA receive process and the disk service process.
+// Start starts the TCA's receive and retransmit engines and spawns the disk
+// service process.
 func (s *StorageNode) Start() {
 	if s.started {
 		panic("iodev: double Start")
 	}
 	s.started = true
-	s.eng.Spawn(s.name+".tca", s.rxLoop)
+	s.Endpoint.Start()
 	s.eng.Spawn(s.name+".disk", s.diskLoop)
-	if s.tx != nil {
-		s.eng.Spawn(s.name+".rtx", s.rtxLoop)
-	}
-}
-
-// rxLoop accepts request packets and write data.
-func (s *StorageNode) rxLoop(p *sim.Proc) {
-	for {
-		pkt := s.in.Recv(p)
-		if s.rel != nil {
-			if pkt.Hdr.Type == san.Ack {
-				switch info := pkt.Payload.(type) {
-				case san.AckInfo:
-					s.tx.OnAck(pkt.Hdr.Src, info)
-				case san.NakInfo:
-					s.tx.OnNak(pkt.Hdr.Src, info)
-				}
-			} else {
-				for _, q := range s.rel.Observe(pkt) {
-					s.accept(p, q)
-				}
-			}
-			s.in.ReturnCredit()
-			continue
-		}
-		if pkt.Corrupt {
-			// Without the reliability layer a corrupt packet stops at the
-			// TCA's CRC check.
-			s.in.ReturnCredit()
-			continue
-		}
-		s.accept(p, pkt)
-		s.in.ReturnCredit()
-	}
 }
 
 // accept runs the normal receive path for one validated, in-order packet.
-func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
+func (s *StorageNode) accept(pkt *san.Packet) {
 	switch pkt.Hdr.Type {
 	case san.IORequest:
 		// Register writes immediately so their data — possibly right
@@ -414,7 +346,7 @@ func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
 		if w, isW := pkt.Payload.(WriteReq); isW {
 			s.writes[pkt.Hdr.Flow] = &writeState{req: w, src: pkt.Hdr.Src}
 		} else {
-			s.reqs.Put(queuedReq{pkt: pkt, at: p.Now()})
+			s.reqs.Put(queuedReq{pkt: pkt, at: s.eng.Now()})
 			if s.stamp != nil {
 				if d := s.reqs.Len(); d > s.maxReqQueue {
 					s.maxReqQueue = d
@@ -422,17 +354,27 @@ func (s *StorageNode) accept(p *sim.Proc, pkt *san.Packet) {
 			}
 		}
 	case san.Data:
-		s.absorbWrite(p, pkt)
+		s.absorbWrite(pkt)
 	default:
 		// Control and stray packets are ignored.
 	}
 }
 
-// rtxLoop drains retransmissions and ACK/NAK control packets onto the link.
-func (s *StorageNode) rtxLoop(p *sim.Proc) {
-	for {
-		pkt := s.rtxq.Get(p)
-		s.out.Send(p, pkt)
+// sendData stamps a read-data packet leaving the disk, when telemetry is
+// armed, and sends it.
+func (s *StorageNode) sendData(p *sim.Proc, pkt *san.Packet, arrived sim.Time) {
+	if s.stamp != nil {
+		pkt.Stamp = s.stamp(arrived)
+		pkt.Stamp.Add(san.HopDisk, s.name, arrived, p.Now())
+	}
+	s.sendTracked(p, pkt)
+}
+
+// notify sends the Control packet a request asked for on completion, if
+// it named a node.
+func (s *StorageNode) notify(p *sim.Proc, dst san.NodeID, flow int64) {
+	if dst != san.NoNode && dst != 0 {
+		s.sendTracked(p, &san.Packet{Hdr: san.Header{Src: s.id, Dst: dst, Type: san.Control, Flow: flow, Last: true}})
 	}
 }
 
@@ -440,14 +382,12 @@ func (s *StorageNode) rtxLoop(p *sim.Proc) {
 // reliability is armed.
 func (s *StorageNode) sendTracked(p *sim.Proc, pkt *san.Packet) {
 	s.out.Send(p, pkt)
-	if s.tx != nil {
-		s.tx.Record(pkt)
-	}
+	s.Track(pkt)
 }
 
 // absorbWrite charges bus and disk occupancy for one arriving write packet
 // and acks the stream when complete.
-func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
+func (s *StorageNode) absorbWrite(pkt *san.Packet) {
 	w := s.writes[pkt.Hdr.Flow]
 	if w == nil {
 		return // write data with no posted WriteReq: drop
@@ -455,11 +395,12 @@ func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
 	s.bus.Reserve(sim.TransferTime(pkt.Size, s.cfg.Bus.BandwidthBytesPerSec))
 	// Disk occupancy; sequential writes stream at disk bandwidth, and the
 	// final reservation's completion is the durability point.
-	durable := s.diskReserve(w.req.File, w.req.Off+w.got, pkt.Size)
+	s.diskReserve(w.req.File, w.req.Off+w.got, pkt.Size, false)
+	durable := s.diskFreeAt
 	w.got += pkt.Size
 	s.stats.BytesWritten += pkt.Size
 	if st := pkt.Stamp; st != nil && s.complete != nil {
-		s.complete(st, p.Now(), pkt.Hdr.Type)
+		s.complete(st, s.eng.Now(), pkt.Hdr.Type)
 	}
 	if w.got >= w.req.Len {
 		delete(s.writes, pkt.Hdr.Flow)
@@ -472,33 +413,37 @@ func (s *StorageNode) absorbWrite(p *sim.Proc, pkt *san.Packet) {
 			// The ack means durable: it leaves once the disk has absorbed
 			// the final byte.
 			req := w.req
-			s.eng.SpawnAt(durable, s.name+".ack", func(ap *sim.Proc) {
-				s.sendTracked(ap, &san.Packet{Hdr: san.Header{
-					Src: s.id, Dst: req.Notify, Type: san.Control,
-					Flow: req.NotifyFlow, Last: true,
-				}})
-			})
+			s.eng.SpawnAt(durable, s.name+".ack", func(ap *sim.Proc) { s.notify(ap, req.Notify, req.NotifyFlow) })
 		}
 	}
 }
 
-// diskReserve books disk time for [off, off+n) of file, returning when the
-// last byte is off the platters.
-func (s *StorageNode) diskReserve(file string, off, n int64) sim.Time {
-	start := s.diskFreeAt
-	if now := s.eng.Now(); start < now {
-		start = now
+// diskReserve books the logical disk for [off, off+n) of file and returns
+// when the first byte leaves the platters: once the disk is free, after a
+// seek unless the access continues the previous one, and — for reads under
+// a disk fault plan — after a re-read penalty per injected media error.
+func (s *StorageNode) diskReserve(file string, off, n int64, read bool) sim.Time {
+	first := s.diskFreeAt
+	if now := s.eng.Now(); first < now {
+		first = now
 	}
 	if file != s.lastFile || off != s.lastEnd {
-		start += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
+		first += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
 		s.stats.Seeks++
 	} else {
 		s.stats.Sequential++
 	}
-	s.diskFreeAt = start + sim.TransferTime(n, s.cfg.Disk.BandwidthBytesPerSec)
+	if read && s.dinj != nil {
+		// The attempt cap only bounds a pathological always-fail plan.
+		for attempt := 0; attempt < maxDiskAttempts && s.dinj.OnDiskOp(s.name, file, off, n); attempt++ {
+			s.stats.DiskRetries++
+			first += s.dretry
+		}
+	}
+	s.diskFreeAt = first + sim.TransferTime(n, s.cfg.Disk.BandwidthBytesPerSec)
 	s.lastFile = file
 	s.lastEnd = off + n
-	return s.diskFreeAt
+	return first
 }
 
 // diskLoop services read requests one at a time, streaming each as MTU
@@ -532,29 +477,7 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 	// Reserve the disk for the whole request up front (requests are served
 	// in order on one spindle set); chunk k leaves the platters at a rate-
 	// limited instant within the reservation.
-	start := s.diskFreeAt
-	if now := p.Now(); start < now {
-		start = now
-	}
-	first := start
-	if req.File != s.lastFile || req.Off != s.lastEnd {
-		first += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
-		s.stats.Seeks++
-	} else {
-		s.stats.Sequential++
-	}
-	if s.dinj != nil {
-		// Injected media errors: each failed attempt costs a re-read
-		// penalty before the transfer can begin. The attempt cap only
-		// bounds a pathological always-fail plan.
-		for attempt := 0; attempt < maxDiskAttempts && s.dinj.OnDiskOp(s.name, req.File, req.Off, req.Len); attempt++ {
-			s.stats.DiskRetries++
-			first += s.dretry
-		}
-	}
-	s.diskFreeAt = first + sim.TransferTime(req.Len, s.cfg.Disk.BandwidthBytesPerSec)
-	s.lastFile = req.File
-	s.lastEnd = req.Off + req.Len
+	first := s.diskReserve(req.File, req.Off, req.Len, true)
 	var ready func(endOff int64) sim.Time
 	if len(s.spindles) > 1 {
 		ready = s.stripedReadiness(arrived, req)
@@ -610,19 +533,9 @@ func (s *StorageNode) serveRead(p *sim.Proc, req ReadReq, arrived sim.Time) {
 			p.SleepUntil(at)
 		}
 		s.bus.Use(p, sim.TransferTime(pkt.Size, s.cfg.Bus.BandwidthBytesPerSec))
-		if s.stamp != nil {
-			st := s.stamp(arrived)
-			st.Add(san.HopDisk, s.name, arrived, p.Now())
-			pkt.Stamp = st
-		}
-		s.sendTracked(p, pkt)
+		s.sendData(p, pkt, arrived)
 	}
-	if req.Notify != san.NoNode && req.Notify != 0 {
-		s.sendTracked(p, &san.Packet{Hdr: san.Header{
-			Src: s.id, Dst: req.Notify, Type: san.Control,
-			Flow: req.NotifyFlow, Last: true,
-		}})
-	}
+	s.notify(p, req.Notify, req.NotifyFlow)
 }
 
 // serveFilteredRead streams a read through a registered pushdown filter:
@@ -660,30 +573,15 @@ func (s *StorageNode) serveFilteredRead(p *sim.Proc, req ReadReq, f *File, flt *
 		pkt.Hdr.Addr = hdr.Addr + kept
 		seq++
 		kept += keep
-		if s.stamp != nil {
-			st := s.stamp(arrived)
-			st.Add(san.HopDisk, s.name, arrived, p.Now())
-			pkt.Stamp = st
-		}
-		s.sendTracked(p, pkt)
+		s.sendData(p, pkt, arrived)
 	}
 	// Trailer: total kept, Last set.
 	trailer := &san.Packet{Hdr: hdr, Size: 8, Payload: kept}
 	trailer.Hdr.Seq = seq
 	trailer.Hdr.Addr = hdr.Addr + kept
 	trailer.Hdr.Last = true
-	if s.stamp != nil {
-		st := s.stamp(arrived)
-		st.Add(san.HopDisk, s.name, arrived, p.Now())
-		trailer.Stamp = st
-	}
-	s.sendTracked(p, trailer)
-	if req.Notify != san.NoNode && req.Notify != 0 {
-		s.sendTracked(p, &san.Packet{Hdr: san.Header{
-			Src: s.id, Dst: req.Notify, Type: san.Control,
-			Flow: req.NotifyFlow, Last: true,
-		}})
-	}
+	s.sendData(p, trailer, arrived)
+	s.notify(p, req.Notify, req.NotifyFlow)
 }
 
 // stripedReadiness builds the per-chunk readiness function for explicit
@@ -704,8 +602,6 @@ func (s *StorageNode) stripedReadiness(now sim.Time, req ReadReq) func(endOff in
 		if st < now {
 			st = now
 		}
-		firstStripe := (req.Off / su) // first stripe of this request
-		_ = firstStripe
 		if sp.lastFile != req.File || sp.lastEnd != req.Off {
 			st += s.cfg.Disk.Seek + s.cfg.Disk.Rotation
 		}

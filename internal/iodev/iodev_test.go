@@ -8,13 +8,26 @@ import (
 )
 
 // rig builds one storage node whose links loop back to a test endpoint.
-func rig(eng *sim.Engine) (*StorageNode, *san.Link, *san.Link) {
+func rig(eng *sim.Engine) (*StorageNode, *san.Link, endpoint) {
 	cfg := san.DefaultLinkConfig()
 	toStore := san.NewLink(eng, "to", cfg)
-	fromStore := san.NewLink(eng, "from", cfg)
-	s := New(eng, 200, "d0", toStore, fromStore, DefaultConfig())
+	fromStore := newEndpoint(san.NewLink(eng, "from", cfg))
+	s := New(eng, 200, "d0", toStore, fromStore.Link, DefaultConfig())
 	s.Start()
 	return s, toStore, fromStore
+}
+
+// endpoint is the test client's receive side of a link: arrivals queue in
+// its input buffer rx.
+type endpoint struct {
+	*san.Link
+	rx *sim.Queue[*san.Packet]
+}
+
+func newEndpoint(l *san.Link) endpoint {
+	rx := sim.NewQueue[*san.Packet]()
+	l.SetReceiver(rx.Put)
+	return endpoint{Link: l, rx: rx}
 }
 
 func request(p *sim.Proc, l *san.Link, req any, flow int64) {
@@ -38,7 +51,7 @@ func TestReadStreamsPackets(t *testing.T) {
 	eng.Spawn("client", func(p *sim.Proc) {
 		request(p, toStore, ReadReq{File: "f", Off: 0, Len: 2048, Dst: 1, DstAddr: 0, Type: san.Data, Flow: 9}, 1)
 		for len(got) < 2048 {
-			pkt := fromStore.Recv(p)
+			pkt := fromStore.rx.Get(p)
 			if first == 0 {
 				first = p.Now()
 			}
@@ -76,7 +89,7 @@ func TestSequentialReadsSkipSeek(t *testing.T) {
 		request(p, toStore, ReadReq{File: "f", Off: 0, Len: 2048, Dst: 1, Type: san.Data, Flow: 1}, 1)
 		request(p, toStore, ReadReq{File: "f", Off: 2048, Len: 2048, Dst: 1, Type: san.Data, Flow: 2}, 2)
 		for i := 0; i < 8; i++ {
-			fromStore.Recv(p)
+			fromStore.rx.Get(p)
 			fromStore.ReturnCredit()
 		}
 	})
@@ -99,7 +112,7 @@ func TestNotifyControlPacket(t *testing.T) {
 			Notify: 1, NotifyFlow: 77,
 		}, 1)
 		for i := 0; i < 2; i++ {
-			pkt := fromStore.Recv(p)
+			pkt := fromStore.rx.Get(p)
 			if pkt.Hdr.Type == san.Control && pkt.Hdr.Flow == 77 {
 				sawNotify = true
 			}
@@ -125,7 +138,7 @@ func TestWritePathAcks(t *testing.T) {
 		for _, pkt := range m.Packets(nil) {
 			toStore.Send(p, pkt)
 		}
-		pkt := fromStore.Recv(p)
+		pkt := fromStore.rx.Get(p)
 		acked = pkt.Hdr.Type == san.Control && pkt.Hdr.Flow == 88
 		fromStore.ReturnCredit()
 	})
@@ -151,7 +164,7 @@ func TestStripedReadTagsPackets(t *testing.T) {
 			Stripe: 1024, Ways: 2, WayStride: 0x100000,
 		}, 1)
 		for i := 0; i < 8; i++ {
-			pkt := fromStore.Recv(p)
+			pkt := fromStore.rx.Get(p)
 			cpus = append(cpus, pkt.Hdr.CPUID)
 			addrs = append(addrs, pkt.Hdr.Addr)
 			fromStore.ReturnCredit()
@@ -231,15 +244,15 @@ func TestExplicitStriping(t *testing.T) {
 		cfg.Disk.StripeUnit = 64 * 1024
 		lcfg := san.DefaultLinkConfig()
 		toStore := san.NewLink(eng, "to", lcfg)
-		fromStore := san.NewLink(eng, "from", lcfg)
-		s := New(eng, 200, "d0", toStore, fromStore, cfg)
+		fromStore := newEndpoint(san.NewLink(eng, "from", lcfg))
+		s := New(eng, 200, "d0", toStore, fromStore.Link, cfg)
 		const total = 1 << 20
 		s.AddFile(&File{Name: "f", Size: total})
 		s.Start()
 		eng.Spawn("client", func(p *sim.Proc) {
 			request(p, toStore, ReadReq{File: "f", Len: total, Dst: 1, Type: san.Data, Flow: 1}, 1)
 			for got := int64(0); got < total; {
-				pkt := fromStore.Recv(p)
+				pkt := fromStore.rx.Get(p)
 				if first == 0 {
 					first = p.Now()
 				}
@@ -272,8 +285,8 @@ func TestStripingAlternatesSpindles(t *testing.T) {
 	cfg.Disk.StripeUnit = 64 * 1024
 	lcfg := san.DefaultLinkConfig()
 	toStore := san.NewLink(eng, "to", lcfg)
-	fromStore := san.NewLink(eng, "from", lcfg)
-	s := New(eng, 200, "d0", toStore, fromStore, cfg)
+	fromStore := newEndpoint(san.NewLink(eng, "from", lcfg))
+	s := New(eng, 200, "d0", toStore, fromStore.Link, cfg)
 	s.AddFile(&File{Name: "f", Size: 256 * 1024})
 	s.Start()
 	// Two consecutive 64 KB requests land on different spindles and can
@@ -284,7 +297,7 @@ func TestStripingAlternatesSpindles(t *testing.T) {
 		request(p, toStore, ReadReq{File: "f", Off: 64 * 1024, Len: 64 * 1024, Dst: 1, Type: san.Data, Flow: 2}, 2)
 		var got1, got2 int64
 		for got1 < 64*1024 || got2 < 64*1024 {
-			pkt := fromStore.Recv(p)
+			pkt := fromStore.rx.Get(p)
 			if pkt.Hdr.Flow == 1 {
 				got1 += pkt.Size
 				firstDone = p.Now()

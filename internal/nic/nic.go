@@ -59,8 +59,11 @@ type txJob struct {
 	at sim.Time
 }
 
-// NIC is one host channel adapter.
+// NIC is one host channel adapter. Its embedded Endpoint is the receive
+// side and the optional reliability layer (EnableReliability, SetRelFilter,
+// RelStats).
 type NIC struct {
+	*san.Endpoint
 	eng  *sim.Engine
 	id   san.NodeID
 	name string
@@ -72,12 +75,14 @@ type NIC struct {
 	comps    *sim.Queue[*Completion]
 	partials map[flowKey]*Completion
 
-	// Optional end-to-end reliability (nil unless EnableReliability ran):
-	// tx tracks outgoing packets for retransmission, rel orders and acks
-	// incoming ones, rtxq feeds the dedicated retransmit/control process.
-	tx   *san.TxTracker
-	rel  *san.RxTracker
-	rtxq *sim.Queue[*san.Packet]
+	// The transmit engine is event-driven: it works through job's packets
+	// (pkts[sent] goes on the wire next) on txs, with continuations bound
+	// once at Start.
+	job    txJob
+	pkts   []*san.Packet
+	sent   int
+	txs    *san.Sender
+	txNext sim.Waiter
 
 	// invalidate, when set, is called for every DMA write so the host's
 	// caches drop stale copies of the buffer (DMA coherence).
@@ -113,7 +118,7 @@ func (n *NIC) MaxTxQueue() int { return n.maxTxQueue }
 // New builds an adapter for node id attached via the given links; mem is the
 // host memory channel DMA traffic is charged against.
 func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, mem *memsys.RDRAM) *NIC {
-	return &NIC{
+	n := &NIC{
 		eng:      eng,
 		id:       id,
 		name:     name,
@@ -124,6 +129,8 @@ func New(eng *sim.Engine, id san.NodeID, name string, in, out *san.Link, mem *me
 		comps:    sim.NewQueue[*Completion](),
 		partials: make(map[flowKey]*Completion),
 	}
+	n.Endpoint = san.NewEndpoint(eng, id, in, out, n.accept, n.retransmitted)
+	return n
 }
 
 // ID returns the adapter's node id.
@@ -138,56 +145,16 @@ func (n *NIC) NextFlow() int64 {
 	return n.flows<<16 | int64(n.id)&0xFFFF
 }
 
-// EnableReliability arms end-to-end retransmission on this adapter: outgoing
-// packets are tracked until acknowledged, incoming ones are reordered,
-// deduplicated, and acknowledged. Must run before Start. Returns the tx
-// tracker so callers can wire its resolve hook.
-func (n *NIC) EnableReliability(cfg san.RetxConfig) *san.TxTracker {
-	if n.started {
-		panic("nic: EnableReliability after Start")
-	}
-	if n.tx != nil {
-		return n.tx
-	}
-	n.rtxq = sim.NewQueue[*san.Packet]()
-	enqueue := func(pkt *san.Packet) { n.rtxq.Put(pkt) }
-	n.tx = san.NewTxTracker(n.eng, cfg, enqueue)
-	n.rel = san.NewRxTracker(n.id, enqueue)
-	return n.tx
-}
-
-// ReliabilityEnabled reports whether EnableReliability ran.
-func (n *NIC) ReliabilityEnabled() bool { return n.tx != nil }
-
-// SetRelFilter restricts both reliability trackers to peers that speak the
-// protocol (see san.TxTracker.SetTrackable); packets to and from other nodes
-// bypass tracking entirely. No-op when reliability is disabled.
-func (n *NIC) SetRelFilter(fn func(san.NodeID) bool) {
-	if n.tx != nil {
-		n.tx.SetTrackable(fn)
-		n.rel.SetTrackable(fn)
-	}
-}
-
-// RelStats returns the reliability counters (zero when disabled).
-func (n *NIC) RelStats() (san.TxStats, san.RxStats) {
-	if n.tx == nil {
-		return san.TxStats{}, san.RxStats{}
-	}
-	return n.tx.Stats(), n.rel.Stats()
-}
-
-// Start spawns the receive and transmit engines.
+// Start wires the receive and transmit engines.
 func (n *NIC) Start() {
 	if n.started {
 		panic("nic: double Start")
 	}
 	n.started = true
-	n.eng.Spawn(n.name+".rx", n.rxLoop)
-	n.eng.Spawn(n.name+".tx", n.txLoop)
-	if n.tx != nil {
-		n.eng.Spawn(n.name+".rtx", n.rtxLoop)
-	}
+	n.Endpoint.Start()
+	n.txNext = n.eng.Waiter(n.nextJob)
+	n.txs = n.out.NewSender(n.packetSent)
+	n.nextJob()
 }
 
 // Post queues msg for transmission and returns a latch that opens once the
@@ -221,39 +188,9 @@ func (n *NIC) TryRecv() (*Completion, bool) { return n.comps.TryGet() }
 // Pending reports queued-but-unread completions.
 func (n *NIC) Pending() int { return n.comps.Len() }
 
-func (n *NIC) rxLoop(p *sim.Proc) {
-	for {
-		pkt := n.in.Recv(p)
-		if n.rel != nil {
-			switch {
-			case pkt.Hdr.Type == san.Ack:
-				switch info := pkt.Payload.(type) {
-				case san.AckInfo:
-					n.tx.OnAck(pkt.Hdr.Src, info)
-				case san.NakInfo:
-					n.tx.OnNak(pkt.Hdr.Src, info)
-				}
-			default:
-				for _, q := range n.rel.Observe(pkt) {
-					n.accept(p, q)
-				}
-			}
-			n.in.ReturnCredit()
-			continue
-		}
-		if pkt.Corrupt {
-			// Without the reliability layer a corrupt packet is simply
-			// lost at the adapter's CRC check.
-			n.in.ReturnCredit()
-			continue
-		}
-		n.accept(p, pkt)
-		n.in.ReturnCredit()
-	}
-}
-
 // accept runs the normal receive path for one validated, in-order packet.
-func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
+func (n *NIC) accept(pkt *san.Packet) {
+	now := n.eng.Now()
 	// DMA the payload into host memory; the credit returns once the
 	// adapter has drained the packet off the link buffer.
 	if pkt.Size > 0 {
@@ -262,7 +199,7 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 			n.invalidate(pkt.Hdr.Addr, pkt.Size)
 		}
 	}
-	tail := n.in.TailTime(p.Now(), pkt.Size)
+	tail := n.in.TailTime(now, pkt.Size)
 	if st := pkt.Stamp; st != nil && n.complete != nil {
 		n.complete(st, tail, pkt.Hdr.Type)
 	}
@@ -271,7 +208,7 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 	key := flowKey{src: pkt.Hdr.Src, flow: pkt.Hdr.Flow}
 	c := n.partials[key]
 	if c == nil {
-		c = &Completion{FirstAt: p.Now()}
+		c = &Completion{FirstAt: now}
 		n.partials[key] = c
 	}
 	c.Size += pkt.Size
@@ -291,42 +228,55 @@ func (n *NIC) accept(p *sim.Proc, pkt *san.Packet) {
 	}
 }
 
-// rtxLoop drains retransmissions and ACK/NAK control packets onto the link;
-// a separate process so timer callbacks never block and retransmissions
-// interleave with fresh traffic rather than preempting it.
-func (n *NIC) rtxLoop(p *sim.Proc) {
-	for {
-		pkt := n.rtxq.Get(p)
-		n.out.Send(p, pkt)
-		// Retransmissions and acks are real wire traffic; keeping them in
-		// the counters keeps the host-I/O-traffic metric honest under loss.
-		n.stats.PacketsOut++
-		n.stats.BytesOut += pkt.Size
-	}
+// retransmitted counts a retransmission or ack the Endpoint put on the
+// wire: real traffic, so the host-I/O-traffic metric stays honest under
+// loss.
+func (n *NIC) retransmitted(pkt *san.Packet) {
+	n.stats.PacketsOut++
+	n.stats.BytesOut += pkt.Size
 }
 
-func (n *NIC) txLoop(p *sim.Proc) {
-	for {
-		job := n.txq.Get(p)
-		pkts := job.msg.Packets(job.msg.Split)
-		for _, pkt := range pkts {
-			if pkt.Size > 0 {
-				off := int64(pkt.Hdr.Seq) * san.MTU
-				n.mem.Reserve(job.local+off, pkt.Size)
-			}
-			if n.stamp != nil {
-				st := n.stamp(job.at)
-				st.Add(san.HopNIC, n.name, job.at, p.Now())
-				pkt.Stamp = st
-			}
-			n.out.Send(p, pkt)
-			if n.tx != nil {
-				n.tx.Record(pkt)
-			}
-			n.stats.PacketsOut++
-			n.stats.BytesOut += pkt.Size
-		}
-		n.stats.MessagesOut++
-		job.done.Open()
+// nextJob starts segmenting the next posted message, or waits for one.
+func (n *NIC) nextJob() {
+	job, ok := n.txq.GetOr(n.txNext)
+	if !ok {
+		return
 	}
+	n.job = job
+	n.pkts = job.msg.Packets(job.msg.Split)
+	n.sent = 0
+	n.sendPacket()
+}
+
+// sendPacket DMAs the job's next packet out of host memory onto the link,
+// or completes the job once every packet is on the wire.
+func (n *NIC) sendPacket() {
+	if n.sent == len(n.pkts) {
+		n.stats.MessagesOut++
+		done := n.job.done
+		n.job, n.pkts = txJob{}, nil
+		done.Open()
+		n.nextJob()
+		return
+	}
+	pkt := n.pkts[n.sent]
+	if pkt.Size > 0 {
+		off := int64(pkt.Hdr.Seq) * san.MTU
+		n.mem.Reserve(n.job.local+off, pkt.Size)
+	}
+	if n.stamp != nil {
+		st := n.stamp(n.job.at)
+		st.Add(san.HopNIC, n.name, n.job.at, n.eng.Now())
+		pkt.Stamp = st
+	}
+	n.txs.Send(pkt)
+}
+
+func (n *NIC) packetSent() {
+	pkt := n.pkts[n.sent]
+	n.Track(pkt)
+	n.stats.PacketsOut++
+	n.stats.BytesOut += pkt.Size
+	n.sent++
+	n.sendPacket()
 }

@@ -72,6 +72,7 @@ func TestLinkCreditExhaustionStalledReceiver(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	cfg.Credits = 2
 	l := NewLink(eng, "l", cfg)
+	rx := inbox(l)
 	const n = 5
 	times := make([]sim.Time, 0, n)
 	eng.Spawn("tx", func(p *sim.Proc) {
@@ -85,7 +86,7 @@ func TestLinkCreditExhaustionStalledReceiver(t *testing.T) {
 	const hold = sim.Millisecond
 	eng.Spawn("rx", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			l.Recv(p)
+			rx.Get(p)
 			p.Sleep(hold)
 			l.ReturnCredit()
 		}
@@ -110,6 +111,7 @@ func TestLinkDropRestoresCredits(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	cfg.Credits = 2
 	l := NewLink(eng, "l", cfg)
+	rx := inbox(l)
 	inj := &dropAll{}
 	l.SetInjector(inj)
 	const n = 6 // 3x the credit window: only restored credits let this finish
@@ -130,7 +132,7 @@ func TestLinkDropRestoresCredits(t *testing.T) {
 	if got := l.Stats().Dropped; got != n {
 		t.Fatalf("Dropped=%d, want %d", got, n)
 	}
-	if _, ok := l.TryRecv(); ok {
+	if _, ok := rx.TryGet(); ok {
 		t.Fatal("receiver got a packet from an all-drop link")
 	}
 	eng.Shutdown()

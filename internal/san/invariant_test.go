@@ -52,7 +52,7 @@ func (i *invInjector) OnTransmit(_ *Link, _ *Packet) (FaultVerdict, sim.Time) {
 // by the test itself (independently of the cluster package's installer).
 type invFabric struct {
 	sws      []*Switch
-	eps      []Port // endpoint view: In from switch, Out toward switch
+	eps      []endpoint
 	epSwitch []int
 	links    []*Link // every link, both directions
 }
@@ -97,13 +97,11 @@ func buildInvFabric(eng *sim.Engine, r *invRand, linkCfg LinkConfig) *invFabric 
 		f.links = append(f.links, l)
 		return l
 	}
-	f.eps = make([]Port, len(f.epSwitch))
+	f.eps = make([]endpoint, len(f.epSwitch))
 	for e, sw := range f.epSwitch {
-		up, down := mk("ep.up"), mk("ep.down")
-		f.sws[sw].AttachPort(nextPort[sw], up, down)
+		f.eps[e] = attach(f.sws[sw], nextPort[sw], mk("ep.up"), mk("ep.down"))
 		f.sws[sw].SetRoute(NodeID(e), nextPort[sw])
 		nextPort[sw]++
-		f.eps[e] = Port{In: down, Out: up}
 	}
 	for _, t := range trunks {
 		ab, ba := mk("t.ab"), mk("t.ba")
@@ -189,7 +187,7 @@ func (f *invFabric) run(eng *sim.Engine, r *invRand, perEp int, hold func(e int)
 		e := e
 		eng.Spawn("rx", func(p *sim.Proc) {
 			for {
-				pkt := f.eps[e].In.Recv(p)
+				pkt := f.eps[e].Rx.Get(p)
 				if h := hold(e); h > 0 {
 					p.Sleep(h)
 				}

@@ -66,7 +66,7 @@ type LinkInjector interface {
 }
 
 // Link is one direction of a cable: packets are serialized at the sender,
-// fly for the propagation delay, and appear at the receiver's input queue.
+// fly for the propagation delay, and are handed to the receiver's callback.
 // Delivery events fire at *head* arrival (virtual cut-through): the receiver
 // may begin routing/filling immediately, while per-link serialization keeps
 // bandwidth honest.
@@ -76,7 +76,7 @@ type Link struct {
 	cfg     LinkConfig
 	line    *sim.Server
 	credits *sim.Semaphore
-	rx      *sim.Queue[*Packet]
+	recv    func(*Packet)
 	stats   LinkStats
 	inj     LinkInjector
 	down    bool
@@ -105,7 +105,6 @@ func NewLink(eng *sim.Engine, name string, cfg LinkConfig) *Link {
 		cfg:        cfg,
 		line:       sim.NewServer(eng, name+".line"),
 		credits:    sim.NewSemaphore(cfg.Credits),
-		rx:         sim.NewQueue[*Packet](),
 		minCredits: cfg.Credits,
 	}
 }
@@ -155,28 +154,60 @@ func (l *Link) traceSend(pkt *Packet) {
 // into the receiver, for valid-bit modelling.
 func (l *Link) FillRate() float64 { return l.cfg.BandwidthBytesPerSec }
 
+// SetReceiver installs the receiving side: fn runs at each packet's head
+// arrival, on the receiver's engine. The receiver owns the packet's
+// input-buffer credit and must call ReturnCredit once the packet has left
+// its input stage. Wire every link's receiver before the simulation starts.
+func (l *Link) SetReceiver(fn func(pkt *Packet)) { l.recv = fn }
+
 // Send transmits pkt, blocking the caller for credit acquisition and
-// serialization start. The caller regains control once the packet is on the
-// wire (its tail has left the sender), modelling a DMA engine that moves to
-// the next packet as soon as the line frees.
+// serialization. The caller regains control once the packet is on the wire
+// (its tail has left the sender), modelling a DMA engine that moves to the
+// next packet as soon as the line frees.
 func (l *Link) Send(p *sim.Proc, pkt *Packet) {
 	if l.eng.Tracing() {
 		l.traceSend(pkt)
 	}
 	l.credits.Acquire(p)
-	end := l.xmit(pkt)
-	p.SleepUntil(end)
+	p.SleepUntil(l.xmit(pkt))
 }
 
-// SendAsync is Send without blocking for serialization (the caller only
-// blocks if no credit is available). Used by senders that pipeline many
-// packets from one process.
-func (l *Link) SendAsync(p *sim.Proc, pkt *Packet) {
-	if l.eng.Tracing() {
-		l.traceSend(pkt)
+// Sender is Send for event-driven components: it moves one packet at a
+// time onto its link and runs the owner's continuation once the packet is
+// on the wire. Its continuations are bound once, so a send allocates
+// nothing.
+type Sender struct {
+	l      *Link
+	pkt    *Packet
+	credit sim.Waiter // runs xmit once the credit is granted
+	sent   func()
+}
+
+// NewSender returns a Sender on l that calls sent — at the instant Send
+// would have returned — after each packet.
+func (l *Link) NewSender(sent func()) *Sender {
+	s := &Sender{l: l, sent: sent}
+	s.credit = l.eng.Waiter(s.xmit)
+	return s
+}
+
+// Send starts transmitting pkt; the previous packet must have been sent.
+func (s *Sender) Send(pkt *Packet) {
+	if s.l.eng.Tracing() {
+		s.l.traceSend(pkt)
 	}
-	l.credits.Acquire(p)
-	l.xmit(pkt)
+	s.pkt = pkt
+	if s.l.credits.AcquireOr(s.credit) {
+		s.xmit()
+	}
+}
+
+// xmit serializes the credited packet and schedules the continuation at
+// the tail's departure.
+func (s *Sender) xmit() {
+	pkt := s.pkt
+	s.pkt = nil
+	s.l.eng.Schedule(s.l.xmit(pkt), s.sent)
 }
 
 // xmit serializes pkt on the line and schedules its delivery (or fate, under
@@ -203,11 +234,14 @@ func (l *Link) xmit(pkt *Packet) (end sim.Time) {
 // deliver schedules pkt's head arrival at the receiver: directly on the
 // engine, or through the cut channel when the receiver is another partition.
 func (l *Link) deliver(headAt sim.Time, pkt *Packet) {
+	if l.recv == nil {
+		panic(fmt.Sprintf("san: link %s has no receiver", l.name))
+	}
 	if l.cross != nil {
-		l.cross.Deliver(headAt, func() { l.rx.Put(pkt) })
+		l.cross.Deliver(headAt, func() { l.recv(pkt) })
 		return
 	}
-	l.eng.Schedule(headAt, func() { l.rx.Put(pkt) })
+	l.eng.Schedule(headAt, func() { l.recv(pkt) })
 }
 
 // faultXmit is the slow delivery path, reached only when an injector is
@@ -258,16 +292,6 @@ func (l *Link) Down() bool { return l.down }
 
 // Up reports the opposite of Down, for route-selection call sites.
 func (l *Link) Up() bool { return !l.down }
-
-// Recv blocks until a packet's head arrives and returns it. The receiver
-// owns the packet's input-buffer credit and must call ReturnCredit once the
-// packet has left its input stage.
-func (l *Link) Recv(p *sim.Proc) *Packet {
-	return l.rx.Get(p)
-}
-
-// TryRecv returns a delivered packet without blocking.
-func (l *Link) TryRecv() (*Packet, bool) { return l.rx.TryGet() }
 
 // ReturnCredit hands one input-buffer slot back to the sender. On a cut
 // link the caller runs on the receiving partition; the credit crosses back

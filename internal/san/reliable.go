@@ -88,7 +88,7 @@ type txFlow struct {
 // TxTracker watches packets a sender puts on the wire and re-sends them
 // until the receiver acknowledges the complete message. Retransmissions go
 // through the send callback (non-blocking: senders enqueue to their
-// retransmit process) so timer events never block the engine.
+// retransmit engine) so a timer event never waits for the link.
 type TxTracker struct {
 	eng       *sim.Engine
 	cfg       RetxConfig

@@ -95,6 +95,7 @@ func TestSliceSplitCoversData(t *testing.T) {
 func TestLinkDeliveryTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	l := NewLink(eng, "l", DefaultLinkConfig())
+	rx := inbox(l)
 	pkt := &Packet{Size: 512}
 	var sentAt, gotAt sim.Time
 	eng.Spawn("tx", func(p *sim.Proc) {
@@ -102,7 +103,7 @@ func TestLinkDeliveryTiming(t *testing.T) {
 		sentAt = p.Now()
 	})
 	eng.Spawn("rx", func(p *sim.Proc) {
-		l.Recv(p)
+		rx.Get(p)
 		gotAt = p.Now()
 		l.ReturnCredit()
 	})
@@ -123,6 +124,7 @@ func TestLinkCreditsBackpressure(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	cfg.Credits = 2
 	l := NewLink(eng, "l", cfg)
+	rx := inbox(l)
 	sent := 0
 	eng.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
@@ -138,7 +140,7 @@ func TestLinkCreditsBackpressure(t *testing.T) {
 	// A receiver draining and returning credits unblocks the rest.
 	eng.Spawn("rx", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			l.Recv(p)
+			rx.Get(p)
 			p.Sleep(sim.Microsecond)
 			l.ReturnCredit()
 		}
@@ -158,16 +160,18 @@ func TestLinkBandwidthSerialization(t *testing.T) {
 	cfg := DefaultLinkConfig()
 	cfg.Credits = 100
 	l := NewLink(eng, "l", cfg)
+	rx := inbox(l)
 	const n = 50
-	eng.Spawn("tx", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			l.SendAsync(p, &Packet{Size: 512})
-		}
-	})
+	// One Sender per packet: all of them hold a credit at once, so the
+	// packets pipeline onto the line with nothing but serialization
+	// pacing them.
+	for i := 0; i < n; i++ {
+		l.NewSender(func() {}).Send(&Packet{Size: 512})
+	}
 	var last sim.Time
 	eng.Spawn("rx", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
-			l.Recv(p)
+			rx.Get(p)
 			l.ReturnCredit()
 			last = p.Now()
 		}
@@ -182,17 +186,35 @@ func TestLinkBandwidthSerialization(t *testing.T) {
 	}
 }
 
+// inbox makes a test device the receiver of l: arrivals queue in the
+// returned input buffer, which the device drains with Get.
+func inbox(l *Link) *sim.Queue[*Packet] {
+	q := sim.NewQueue[*Packet]()
+	l.SetReceiver(q.Put)
+	return q
+}
+
+// endpoint is a test device's view of its switch port: In carries packets
+// from the switch into the device's input buffer Rx, Out carries packets
+// toward the switch.
+type endpoint struct {
+	In, Out *Link
+	Rx      *sim.Queue[*Packet]
+}
+
+// attach wires a device to a switch port through a fresh link pair.
+func attach(sw *Switch, port int, up, down *Link) endpoint {
+	sw.AttachPort(port, up, down)
+	return endpoint{In: down, Out: up, Rx: inbox(down)}
+}
+
 // star builds a 1-switch fabric with n endpoints and returns the switch and
 // per-endpoint ports.
-func star(eng *sim.Engine, n int) (*Switch, []Port) {
+func star(eng *sim.Engine, n int) (*Switch, []endpoint) {
 	sw := NewSwitch(eng, NodeID(100), "sw", DefaultSwitchConfig(n))
-	eps := make([]Port, n)
+	eps := make([]endpoint, n)
 	for i := 0; i < n; i++ {
-		toSw := NewLink(eng, "up", DefaultLinkConfig())
-		fromSw := NewLink(eng, "down", DefaultLinkConfig())
-		sw.AttachPort(i, toSw, fromSw)
-		// The endpoint's view: In = from switch, Out = toward switch.
-		eps[i] = Port{In: fromSw, Out: toSw}
+		eps[i] = attach(sw, i, NewLink(eng, "up", DefaultLinkConfig()), NewLink(eng, "down", DefaultLinkConfig()))
 		sw.SetRoute(NodeID(i), i)
 	}
 	return sw, eps
@@ -208,7 +230,7 @@ func TestSwitchRoutesBetweenPorts(t *testing.T) {
 		eps[0].Out.Send(p, &Packet{Hdr: Header{Src: 0, Dst: 2}, Size: 512})
 	})
 	eng.Spawn("dst", func(p *sim.Proc) {
-		got = eps[2].In.Recv(p)
+		got = eps[2].Rx.Get(p)
 		at = p.Now()
 		eps[2].In.ReturnCredit()
 	})
@@ -245,9 +267,10 @@ type captureSink struct {
 	rate float64
 }
 
-func (c *captureSink) Deliver(_ *sim.Proc, pkt *Packet, rate float64) {
+func (c *captureSink) Deliver(_ int, pkt *Packet, rate float64, done func(*Packet)) {
 	c.pkts = append(c.pkts, pkt)
 	c.rate = rate
+	done(nil)
 }
 
 func TestSwitchLocalSink(t *testing.T) {
@@ -297,7 +320,7 @@ func TestSwitchInject(t *testing.T) {
 		}
 	})
 	eng.Spawn("dst", func(p *sim.Proc) {
-		got = eps[1].In.Recv(p)
+		got = eps[1].Rx.Get(p)
 		eps[1].In.ReturnCredit()
 	})
 	eng.Run()
@@ -332,7 +355,7 @@ func TestTwoSwitchPath(t *testing.T) {
 	swA.AttachPort(0, ep0up, ep0down)
 	swA.AttachPort(1, abDown, abUp) // A's trunk: in from B, out to B
 	swB.AttachPort(0, abUp, abDown)
-	swB.AttachPort(1, ep1up, ep1down)
+	ep1 := attach(swB, 1, ep1up, ep1down)
 	swA.SetRoute(0, 0)
 	swA.SetRoute(1, 1)
 	swB.SetRoute(0, 0)
@@ -344,7 +367,7 @@ func TestTwoSwitchPath(t *testing.T) {
 		ep0up.Send(p, &Packet{Hdr: Header{Src: 0, Dst: 1}, Size: 512})
 	})
 	eng.Spawn("dst", func(p *sim.Proc) {
-		ep1down.Recv(p)
+		ep1.Rx.Get(p)
 		gotAt = p.Now()
 		ep1down.ReturnCredit()
 	})
@@ -405,7 +428,7 @@ func TestPacketConservationProperty(t *testing.T) {
 			d := d
 			eng.Spawn("rx", func(p *sim.Proc) {
 				for {
-					eps[d].In.Recv(p)
+					eps[d].Rx.Get(p)
 					received[d]++
 					eps[d].In.ReturnCredit()
 				}
@@ -436,14 +459,14 @@ func TestOutputQueueOccupancyStats(t *testing.T) {
 		src := src
 		eng.Spawn("tx", func(p *sim.Proc) {
 			for i := 0; i < 16; i++ {
-				eps[src].Out.SendAsync(p, &Packet{Hdr: Header{Src: NodeID(src), Dst: 3}, Size: 512})
+				eps[src].Out.Send(p, &Packet{Hdr: Header{Src: NodeID(src), Dst: 3}, Size: 512})
 			}
 		})
 	}
 	got := 0
 	eng.Spawn("rx", func(p *sim.Proc) {
 		for got < 48 {
-			eps[3].In.Recv(p)
+			eps[3].Rx.Get(p)
 			got++
 			eps[3].In.ReturnCredit()
 		}

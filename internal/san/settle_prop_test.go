@@ -73,7 +73,7 @@ func burstOrder(t *testing.T, n, dst int, srcs []int, sizes []int64, inject bool
 	var order []int
 	eng.Spawn("rx", func(p *sim.Proc) {
 		for len(order) < want {
-			pkt := eps[dst].In.Recv(p)
+			pkt := eps[dst].Rx.Get(p)
 			order = append(order, int(pkt.Hdr.Src))
 			eps[dst].In.ReturnCredit()
 		}

@@ -45,11 +45,15 @@ func DefaultSwitchConfig(ports int) SwitchConfig {
 }
 
 // LocalSink receives packets whose destination is the switch itself. The
-// base switch has none; the active switch installs its data-buffer admission
-// here. Deliver runs in the input port's process and may block — that is
-// exactly the backpressure the paper's credit scheme provides.
+// base switch has none; the active switch installs its dispatch unit here.
+// Deliver runs in input port port's pipeline, which holds the packet's
+// credit until the sink calls done — exactly the backpressure the paper's
+// credit scheme provides. The sink must call done once per delivery, inline
+// when nothing makes it wait, with a reply for the switch to source as its
+// own injection before the port moves on (the active switch's crash
+// notice), or nil.
 type LocalSink interface {
-	Deliver(p *sim.Proc, pkt *Packet, fillRate float64)
+	Deliver(port int, pkt *Packet, fillRate float64, done func(reply *Packet))
 }
 
 // Port is one external attachment: In carries packets from the device into
@@ -81,14 +85,15 @@ type SwitchStats struct {
 }
 
 // Switch is the conventional central-output-queue switch. Each input port
-// runs a routing process; each output port runs a transmit process; a shared
-// buffer pool provides the central queue.
+// is a routing pipeline and each output port a transmit pipeline, both
+// driven by events; a shared buffer pool provides the central queue.
 type Switch struct {
 	eng    *sim.Engine
 	id     NodeID
 	name   string
 	cfg    SwitchConfig
 	ports  []Port
+	in     []*inPort
 	routes map[NodeID]int
 	backup map[NodeID]int
 	pool   *sim.Semaphore
@@ -119,6 +124,7 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, cfg SwitchConfig) *Switc
 		name:   name,
 		cfg:    cfg,
 		ports:  make([]Port, cfg.Ports),
+		in:     make([]*inPort, cfg.Ports),
 		routes: make(map[NodeID]int),
 		backup: make(map[NodeID]int),
 		pool:   sim.NewSemaphore(cfg.PoolPackets),
@@ -175,6 +181,9 @@ func (s *Switch) AttachPort(i int, in, out *Link) {
 		panic(fmt.Sprintf("san: %s port %d already attached", s.name, i))
 	}
 	s.ports[i] = Port{In: in, Out: out}
+	if in != nil {
+		s.in[i] = s.newInPort(i, in)
+	}
 }
 
 // SetRoute directs packets for dst out of port. Routes may be updated before
@@ -252,7 +261,7 @@ func (s *Switch) noteNoRoute(pkt *Packet) {
 			fmt.Sprintf("%s pkt src=%d dst=%d flow=%d seq=%d", pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq))
 	}
 	if strictRoutes.Load() {
-		panic(fmt.Sprintf("san: %s has no route for %s packet src=%d dst=%d flow=%d seq=%d (-strict-routes)",
+		panic(fmt.Errorf("san: %s has no route for %s packet src=%d dst=%d flow=%d seq=%d (-strict-routes)",
 			s.name, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq))
 	}
 }
@@ -266,88 +275,180 @@ func (s *Switch) SetLocalSink(sink LocalSink) {
 	s.local = sink
 }
 
-// Start spawns the per-port processes. Unattached ports are skipped.
+// Start wires the per-port pipelines. Unattached ports are skipped.
 func (s *Switch) Start() {
 	if s.started {
 		panic("san: double Start")
 	}
 	s.started = true
-	for i := range s.ports {
-		if s.ports[i].In != nil {
-			i := i
-			s.eng.Spawn(fmt.Sprintf("%s.in%d", s.name, i), func(p *sim.Proc) { s.inputLoop(p, i) })
+	for i, pt := range s.ports {
+		if pt.In != nil {
+			s.in[i].serve()
 		}
-		if s.ports[i].Out != nil {
-			i := i
-			s.eng.Spawn(fmt.Sprintf("%s.out%d", s.name, i), func(p *sim.Proc) { s.outputLoop(p, i) })
+		if pt.Out != nil {
+			s.startOutput(i, pt.Out)
 		}
 	}
 }
 
-// inputLoop routes packets arriving on port i. A packet for the switch
-// itself goes to the local sink (blocking for data-buffer admission); other
-// packets take a routing decision, a central-queue slot, and move to their
-// output queue.
-func (s *Switch) inputLoop(p *sim.Proc, i int) {
-	in := s.ports[i].In
-	for {
-		pkt := in.Recv(p)
+// inPort is one input port's routing pipeline. It serves one packet at a
+// time — later arrivals wait in rx, the port's input buffer — through the
+// routing latency and crossbar arbitration to the local sink (which may
+// make it wait for data-buffer admission) or, holding a central-queue
+// slot, to its output queue.
+type inPort struct {
+	s   *Switch
+	i   int
+	in  *Link
+	rx  *sim.Queue[*Packet]
+	pkt *Packet
+	out int
+	// reply marks pkt as a local sink's reply, injected as pseudo-port N.
+	reply bool
+	// Continuations, bound once.
+	granted, pooled sim.Waiter
+	routed          func()
+	replied         func(*Packet)
+}
+
+// newInPort makes port i's pipeline the receiver of in; arrivals buffer in
+// rx until Start begins serving them.
+func (s *Switch) newInPort(i int, in *Link) *inPort {
+	ip := &inPort{s: s, i: i, in: in, rx: sim.NewQueue[*Packet]()}
+	ip.granted = s.eng.Waiter(ip.dispose)
+	ip.pooled = s.eng.Waiter(ip.enqueue)
+	ip.routed = ip.arbitrate
+	ip.replied = ip.inject
+	in.SetReceiver(ip.arrive)
+	return ip
+}
+
+// arrive buffers a packet whose head has reached the port and, when the
+// pipeline is idle, starts routing it at once.
+func (ip *inPort) arrive(pkt *Packet) {
+	ip.rx.Put(pkt)
+	if ip.pkt == nil && ip.s.started {
+		ip.serve()
+	}
+}
+
+// serve takes the next buffered packet into the routing step; with none
+// buffered the port idles until arrive starts it again.
+func (ip *inPort) serve() {
+	pkt, ok := ip.rx.TryGet()
+	if !ok {
+		return
+	}
+	ip.pkt = pkt
+	now := ip.s.eng.Now()
+	if st := pkt.Stamp; st != nil {
+		st.Open(HopRoute, ip.s.name, now)
+	}
+	ip.s.eng.Schedule(now+ip.s.cfg.RoutingLatency, ip.routed)
+}
+
+// arbitrate runs once the routing latency has elapsed.
+func (ip *inPort) arbitrate() {
+	s, pkt := ip.s, ip.pkt
+	if s.eng.Tracing() {
+		s.eng.Emit("packet", "recv", s.name,
+			fmt.Sprintf("in%d %s pkt src=%d dst=%d flow=%d seq=%d size=%d",
+				ip.i, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
+	}
+	if pkt.Corrupt {
+		// Link-level CRC check: damaged packets stop here and rely on
+		// end-to-end retransmission. Drops never contend, so they skip
+		// arbitration.
+		s.stats.CorruptDrops++
+		ip.finish()
+		return
+	}
+	// Settle-phase crossbar arbitration: every packet that finished its
+	// routing step at this instant — on any input port, in any event order
+	// — is admitted in input-port-index order at the end of the instant.
+	// Routing itself happens after the grant, so a same-instant topology
+	// change is observed identically by the whole burst.
+	s.arb.Enter(ip.granted, ip.i)
+}
+
+// dispose hands the granted packet to the local sink, or routes it and
+// takes a central-queue slot.
+func (ip *inPort) dispose() {
+	s, pkt := ip.s, ip.pkt
+	switch {
+	case ip.reply:
+		ip.reply = false
+		out, err := s.injectRoute(pkt)
+		if err != nil {
+			ip.finish() // nobody to reply to
+			return
+		}
+		ip.out = out
+	case pkt.Hdr.Dst == s.id:
+		s.stats.Local++
+		if s.local == nil {
+			s.stats.Dropped++
+			ip.finish()
+			return
+		}
 		if st := pkt.Stamp; st != nil {
-			st.Open(HopRoute, s.name, p.Now())
+			st.Close(s.eng.Now())
 		}
-		p.Sleep(s.cfg.RoutingLatency)
-		if s.eng.Tracing() {
-			s.eng.Emit("packet", "recv", s.name,
-				fmt.Sprintf("in%d %s pkt src=%d dst=%d flow=%d seq=%d size=%d",
-					i, pkt.Hdr.Type, pkt.Hdr.Src, pkt.Hdr.Dst, pkt.Hdr.Flow, pkt.Hdr.Seq, pkt.Size))
-		}
-		if pkt.Corrupt {
-			// Link-level CRC check: damaged packets stop here and rely on
-			// end-to-end retransmission. Drops never contend, so they skip
-			// arbitration.
-			s.stats.CorruptDrops++
-			in.ReturnCredit()
-			continue
-		}
-		// Settle-phase crossbar arbitration: every packet that finished its
-		// routing step at this instant — on any input port, in any event
-		// order — is admitted in input-port-index order at the end of the
-		// instant. Routing itself happens after the grant, so a same-instant
-		// topology change is observed identically by the whole burst.
-		s.arb.Join(p, i)
-		if pkt.Hdr.Dst == s.id {
-			s.stats.Local++
-			if s.local == nil {
-				s.stats.Dropped++
-				in.ReturnCredit()
-				continue
-			}
-			if st := pkt.Stamp; st != nil {
-				st.Close(p.Now())
-			}
-			s.local.Deliver(p, pkt, in.FillRate())
-			in.ReturnCredit()
-			continue
-		}
+		s.local.Deliver(ip.i, pkt, ip.in.FillRate(), ip.replied)
+		return
+	default:
 		out, rerouted := s.pickRoute(pkt.Hdr.Dst)
 		if out < 0 {
 			s.noteNoRoute(pkt)
-			in.ReturnCredit()
-			continue
+			ip.finish()
+			return
 		}
 		if rerouted {
 			s.stats.Rerouted++
 		}
-		s.pool.Acquire(p)
-		s.stats.Routed++
-		if st := pkt.Stamp; st != nil {
-			st.Close(p.Now())
-			st.Open(HopQueue, s.name, p.Now())
-		}
-		s.outQ[out].Put(pkt)
-		s.noteDepth(out)
-		in.ReturnCredit()
+		ip.out = out
 	}
+	if s.pool.AcquireOr(ip.pooled) {
+		ip.enqueue()
+	}
+}
+
+// inject ends a local delivery: a reply from the sink arbitrates as the
+// switch's own injection, pseudo-port N, like Inject, before the port frees
+// the delivered packet's buffer.
+func (ip *inPort) inject(reply *Packet) {
+	if reply == nil {
+		ip.finish()
+		return
+	}
+	ip.pkt, ip.reply = reply, true
+	ip.s.arb.Enter(ip.granted, ip.s.cfg.Ports)
+}
+
+// enqueue moves the packet, holding its central-queue slot, to the output.
+func (ip *inPort) enqueue() {
+	if st := ip.pkt.Stamp; st != nil {
+		st.Close(ip.s.eng.Now())
+	}
+	ip.s.enqueue(ip.out, ip.pkt)
+	ip.finish()
+}
+
+// finish frees the packet's input buffer and moves on to the next.
+func (ip *inPort) finish() {
+	ip.pkt = nil
+	ip.in.ReturnCredit()
+	ip.serve()
+}
+
+// enqueue puts a packet holding a central-queue slot on output queue out.
+func (s *Switch) enqueue(out int, pkt *Packet) {
+	s.stats.Routed++
+	if st := pkt.Stamp; st != nil {
+		st.Open(HopQueue, s.name, s.eng.Now())
+	}
+	s.outQ[out].Put(pkt)
+	s.noteDepth(out)
 }
 
 // noteDepth records queue and pool occupancy extremes.
@@ -360,17 +461,38 @@ func (s *Switch) noteDepth(out int) {
 	}
 }
 
-// outputLoop drains output queue i onto its link.
-func (s *Switch) outputLoop(p *sim.Proc, i int) {
-	out := s.ports[i].Out
-	for {
-		pkt := s.outQ[i].Get(p)
-		if st := pkt.Stamp; st != nil {
-			st.Close(p.Now())
-		}
-		out.Send(p, pkt)
-		s.pool.Release()
+// outPort is one output port's transmit pipeline: it drains the output
+// queue onto the link and frees each packet's central-queue slot once the
+// packet is on the wire.
+type outPort struct {
+	s    *Switch
+	q    *sim.Queue[*Packet]
+	tx   *Sender
+	next sim.Waiter
+}
+
+func (s *Switch) startOutput(i int, out *Link) {
+	op := &outPort{s: s, q: s.outQ[i]}
+	op.next = s.eng.Waiter(op.serve)
+	op.tx = out.NewSender(op.sent)
+	op.serve()
+}
+
+// serve transmits the next queued packet, or waits for one.
+func (op *outPort) serve() {
+	pkt, ok := op.q.GetOr(op.next)
+	if !ok {
+		return
 	}
+	if st := pkt.Stamp; st != nil {
+		st.Close(op.s.eng.Now())
+	}
+	op.tx.Send(pkt)
+}
+
+func (op *outPort) sent() {
+	op.s.pool.Release()
+	op.serve()
 }
 
 // Inject lets the switch itself source a packet toward dst (the active
@@ -380,19 +502,23 @@ func (s *Switch) outputLoop(p *sim.Proc, i int) {
 // and enqueues on the proper output.
 func (s *Switch) Inject(p *sim.Proc, pkt *Packet) error {
 	s.arb.Join(p, s.cfg.Ports)
+	out, err := s.injectRoute(pkt)
+	if err != nil {
+		return err
+	}
+	s.pool.Acquire(p)
+	s.enqueue(out, pkt)
+	return nil
+}
+
+// injectRoute picks an injected packet's output port.
+func (s *Switch) injectRoute(pkt *Packet) (int, error) {
 	out, rerouted := s.pickRoute(pkt.Hdr.Dst)
 	if out < 0 {
-		return fmt.Errorf("san: %s cannot route injected packet to node %d", s.name, pkt.Hdr.Dst)
+		return out, fmt.Errorf("san: %s cannot route injected packet to node %d", s.name, pkt.Hdr.Dst)
 	}
 	if rerouted {
 		s.stats.Rerouted++
 	}
-	s.pool.Acquire(p)
-	s.stats.Routed++
-	if st := pkt.Stamp; st != nil {
-		st.Open(HopQueue, s.name, p.Now())
-	}
-	s.outQ[out].Put(pkt)
-	s.noteDepth(out)
-	return nil
+	return out, nil
 }

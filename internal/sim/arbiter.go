@@ -1,9 +1,9 @@
 package sim
 
-// Arbiter is a settle-phase admission arbiter: processes contending for a
-// shared resource at the same instant Join with a caller-chosen index, park,
-// and are all granted together at the end of the instant in ascending index
-// order (ties in Join order). Because the grant order depends only on the
+// Arbiter is a settle-phase admission arbiter: waiters contending for a
+// shared resource at the same instant enter with a caller-chosen index and
+// are all granted together at the end of the instant in ascending index
+// order (ties in entry order). Because the grant order depends only on the
 // indices — not on the order the contenders' wake events happened to be
 // inserted — everything downstream of the grants (FIFO queues, semaphore
 // waiter lists) becomes a pure function of simulated state. The switch
@@ -23,7 +23,7 @@ type Arbiter struct {
 
 type arbWaiter struct {
 	index int
-	proc  *Proc
+	w     Waiter
 }
 
 // NewArbiter returns an arbiter driven by eng's end-of-instant settle.
@@ -34,20 +34,26 @@ func NewArbiter(eng *Engine) *Arbiter {
 }
 
 // Join stages p behind the given index and parks it until the end-of-instant
-// settle grants this instant's joiners in ascending index order. It returns
-// when p's turn comes; joiners with equal indices keep their Join order.
+// settle grants this instant's entrants in ascending index order. It returns
+// when p's turn comes; entrants with equal indices keep their entry order.
 func (a *Arbiter) Join(p *Proc, index int) {
-	a.pending = append(a.pending, arbWaiter{index: index, proc: p})
+	a.Enter(p.waiter(), index)
+	p.block()
+}
+
+// Enter stages w behind the given index; the end-of-instant settle wakes it
+// in its turn.
+func (a *Arbiter) Enter(w Waiter, index int) {
+	a.pending = append(a.pending, arbWaiter{index: index, w: w})
 	if !a.armed {
 		a.armed = true
 		a.eng.Settle(a.settleFn)
 	}
-	p.park()
 }
 
-// settle grants the instant's joiners. The unparks schedule the waiters'
-// wake events in grant order, so the waiters resume — and take their
-// downstream FIFO slots — in exactly that order at the same instant.
+// settle grants the instant's entrants. The wakes schedule the waiters'
+// events in grant order, so the waiters resume — and take their downstream
+// FIFO slots — in exactly that order at the same instant.
 func (a *Arbiter) settle() {
 	a.armed = false
 	pend := a.pending
@@ -62,11 +68,11 @@ func (a *Arbiter) settle() {
 		}
 		pend[j] = w
 	}
-	// Reset before unparking: grants only schedule wake events, so no Join
-	// can interleave with this loop, but a granted process may Join again
-	// once it runs — that append must start a fresh pending set.
+	// Reset before waking: grants only schedule events, so no entry can
+	// interleave with this loop, but a granted waiter may enter again once
+	// it runs — that append must start a fresh pending set.
 	a.pending = a.pending[:0]
 	for _, w := range pend {
-		w.proc.unpark()
+		w.w.wake()
 	}
 }

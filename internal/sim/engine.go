@@ -13,7 +13,7 @@ import (
 // high-water mark and is then recycled through a free list, so steady-state
 // scheduling does not allocate. An event runs either a plain callback (fn)
 // or resumes a process (proc); the proc form exists so the process wake
-// paths (Sleep, unpark, Spawn) need no per-wake closure.
+// paths (Sleep, waiter wakes, Spawn) need no per-wake closure.
 type event struct {
 	at  Time
 	seq int64
@@ -47,9 +47,9 @@ type timer struct {
 // single currently-running Proc. Distinct Engines share no mutable state
 // and may run on separate goroutines simultaneously (the parallel
 // experiment harness relies on this); the only package-level hook,
-// SetDefaultTracer, is atomic. A tracer function installed while engines
-// run in parallel is invoked from every engine's goroutine and must do its
-// own locking.
+// SetDefaultTraceSink, is atomic. A sink installed while engines run in
+// parallel is invoked from every engine's goroutine and must do its own
+// locking.
 //
 // Scheduling model: exactly one goroutine is ever active — either the
 // goroutine that called Run (the "main" driver) or one process goroutine.
@@ -73,7 +73,7 @@ type Engine struct {
 	heap []int32
 
 	// runq is the same-time FIFO: events scheduled at the current instant —
-	// the dominant case, from unpark, Proc wake-ups and zero-delay sleeps —
+	// the dominant case, from waiter wakes and zero-delay sleeps —
 	// bypass the heap entirely. Entries before runqHead have been consumed.
 	// Appending in seq order keeps the queue (at, seq)-sorted, so its head
 	// competes with the heap top by a single comparison.
@@ -96,12 +96,17 @@ type Engine struct {
 	// detection in tests.
 	procs int
 	// all records every spawned process so Shutdown can unwind the
-	// goroutines of perpetual servers (switch port loops and the like).
+	// goroutines of perpetual servers (switch CPU and disk loops).
 	all []*Proc
 
-	// fatal holds a panic raised inside a process goroutine, re-raised from
-	// Run by the main driver when control returns to it.
-	fatal *procPanic
+	// fatal holds a panic raised on a process goroutine, re-raised from Run
+	// by the main driver when control returns to it: a *procPanic naming
+	// the process, or the bare value of a panicking event callback the
+	// goroutine was driving — the value driveMain itself would have raised.
+	fatal any
+	// inCallback is set while a process goroutine runs an event callback,
+	// so a panic escaping it is attributed to the callback, not the process.
+	inCallback bool
 
 	// mainWake resumes the Run caller when a phase ends (queue drained,
 	// deadline reached, Stop, or a fatal process panic) while a process
@@ -134,7 +139,7 @@ type TraceEvent struct {
 	Detail string
 }
 
-// String renders the event as the legacy "comp: detail" trace-line body.
+// String renders the event as a plain-text "comp: detail" trace-line body.
 func (ev TraceEvent) String() string {
 	if ev.Comp == "" {
 		return ev.Detail
@@ -148,25 +153,15 @@ func (ev TraceEvent) String() string {
 type TraceSink func(ev TraceEvent)
 
 // defaultSink, when set, is installed on every new engine — the hook the
-// CLI's -trace/-trace-out flags use to observe experiments that build their
-// own engines internally. Held behind an atomic pointer so engines can be
-// constructed concurrently with SetDefaultTracer/SetDefaultTraceSink.
+// CLI's -trace/-trace-out/-flight-recorder flags use to observe experiments
+// that build their own engines internally. Held behind an atomic pointer so
+// engines can be constructed concurrently with SetDefaultTraceSink.
 var defaultSink atomic.Pointer[TraceSink]
 
-// SetDefaultTracer installs (or clears, with nil) a legacy string tracer
-// for all engines created afterwards. Safe to call concurrently with
-// NewEngine; the tracer itself must be safe for concurrent use if engines
-// run in parallel.
-func SetDefaultTracer(fn func(t Time, msg string)) {
-	if fn == nil {
-		defaultSink.Store(nil)
-		return
-	}
-	SetDefaultTraceSink(func(ev TraceEvent) { fn(ev.At, ev.String()) })
-}
-
 // SetDefaultTraceSink installs (or clears, with nil) a typed trace sink for
-// all engines created afterwards.
+// all engines created afterwards. Safe to call concurrently with NewEngine;
+// the sink itself must be safe for concurrent use if engines run in
+// parallel.
 func SetDefaultTraceSink(sink TraceSink) {
 	if sink == nil {
 		defaultSink.Store(nil)
@@ -257,7 +252,7 @@ func (e *Engine) schedule(at Time, fn func(), proc *Proc) timer {
 // those events were inserted in — and before the clock advances past it or
 // the current run phase returns. Hooks run in registration order, and a
 // hook's own same-instant effects (events it schedules at the current time,
-// processes it unparks) complete before the next hook runs. The settle
+// waiters it wakes) complete before the next hook runs. The settle
 // arbiter (Arbiter) uses this to make same-instant contention a pure
 // function of simulated state rather than of event-insertion order.
 func (e *Engine) Settle(fn func()) {
@@ -466,6 +461,7 @@ func (e *Engine) take(idx int32) (fn func(), proc *Proc) {
 // somewhere else — another process, or the Run caller when the phase is over
 // or a fatal panic is pending — and then exits.
 func (e *Engine) exitDrive() {
+	defer e.recoverExitDrive()
 	for {
 		if e.fatal != nil || e.stopped || e.shuttingDown {
 			e.mainWake <- struct{}{}
@@ -482,6 +478,16 @@ func (e *Engine) exitDrive() {
 			return
 		}
 		fn()
+	}
+}
+
+// recoverExitDrive is exitDrive's deferred guard: a callback panicking on
+// an exiting process goroutine becomes the engine's fatal error, handed to
+// the Run caller like any other.
+func (e *Engine) recoverExitDrive() {
+	if r := recover(); r != nil {
+		e.fatal = r
+		e.mainWake <- struct{}{}
 	}
 }
 
@@ -590,7 +596,6 @@ func (e *Engine) Shutdown() {
 	for _, p := range e.all {
 		if !p.done {
 			p.killed = true
-			p.waiting = false
 			// Resume the parked goroutine so it unwinds; its exit path sees
 			// shuttingDown and signals back instead of driving the queue.
 			p.handoff <- struct{}{}
@@ -599,17 +604,6 @@ func (e *Engine) Shutdown() {
 	}
 	e.all = nil
 	e.shuttingDown = false
-}
-
-// SetTracer installs a legacy string trace sink; nil disables tracing.
-// Typed events reach fn rendered as "comp: detail" lines, so existing
-// consumers keep seeing the familiar format.
-func (e *Engine) SetTracer(fn func(t Time, msg string)) {
-	if fn == nil {
-		e.SetTraceSink(nil)
-		return
-	}
-	e.SetTraceSink(func(ev TraceEvent) { fn(ev.At, ev.String()) })
 }
 
 // SetTraceSink installs a typed trace sink; nil disables tracing.
@@ -632,12 +626,5 @@ func (e *Engine) Tracing() bool { return e.tracing }
 func (e *Engine) Emit(cat, name, comp, detail string) {
 	if e.tracing {
 		e.sink(TraceEvent{At: e.now, Cat: cat, Name: name, Comp: comp, Detail: detail})
-	}
-}
-
-// Tracef emits an untyped ("generic") trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.tracing {
-		e.sink(TraceEvent{At: e.now, Cat: "generic", Detail: fmt.Sprintf(format, args...)})
 	}
 }

@@ -21,8 +21,9 @@ import (
 //   - A cut link's credit return is bounded below in two ways: the receiving
 //     port frees the input buffer of the *oldest* outstanding delivery first
 //     (credits come back in arrival order), never earlier than that
-//     delivery's arrival plus the receiver's routing latency (the input
-//     pipeline sleeps that long before any disposition), and never before
+//     delivery's arrival plus the receiver's routing latency (an input
+//     port's routing step is an event that far after the arrival, and every
+//     disposition that returns the credit follows it), and never before
 //     the receiving partition acts at all. That is the credit lookahead —
 //     without it, a partition waiting on flow-control credits would collapse
 //     to lockstep with its neighbor.

@@ -3,10 +3,12 @@ package sim
 import "fmt"
 
 // Proc is a simulated process: a goroutine that the engine resumes one at a
-// time. Inside the process function, call Sleep/WaitOn/etc. to advance
+// time. Inside the process function, call Sleep/Get/Acquire/etc. to advance
 // simulated time; the engine never runs two processes (or a process and an
 // event callback) concurrently, so process code may touch shared simulation
-// state without locks.
+// state without locks. Processes are for code that blocks in the middle of
+// a computation; a component that only reacts to events is cheaper as event
+// callbacks (see Waiter).
 type Proc struct {
 	eng  *Engine
 	name string
@@ -21,10 +23,6 @@ type Proc struct {
 	handoff chan struct{}
 
 	done bool
-
-	// waiting is true while the process is parked on a condition; the
-	// synchronization primitives in this package wake it via unpark.
-	waiting bool
 
 	// killed asks the process to unwind at its next block point; see
 	// Engine.Shutdown.
@@ -68,7 +66,14 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 		<-p.handoff
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(killedError); !ok {
+				switch _, killed := r.(killedError); {
+				case e.inCallback:
+					// An event callback this goroutine was driving
+					// panicked: Run re-raises the bare value, exactly as
+					// when the Run caller drives the callback itself.
+					e.inCallback = false
+					e.fatal = r
+				case !killed:
 					// Surface the panic in the Run caller: exitDrive hands
 					// control back and driveMain re-raises, so a handler
 					// bug fails the test instead of killing the process.
@@ -87,7 +92,7 @@ func (e *Engine) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
 		fn(p)
 	}()
 	// The wake event carries the proc itself rather than a closure, so
-	// spawning (and every later sleep/unpark) costs no per-event allocation.
+	// spawning (and every later sleep or wake) costs no per-event allocation.
 	e.schedule(at, nil, p)
 	return p
 }
@@ -132,7 +137,9 @@ func (p *Proc) block() {
 			<-p.handoff
 			break
 		}
+		e.inCallback = true
 		fn()
+		e.inCallback = false
 	}
 	if p.killed {
 		panic(killedError{})
@@ -157,30 +164,4 @@ func (p *Proc) SleepUntil(at Time) {
 	}
 	p.eng.schedule(at, nil, p)
 	p.block()
-}
-
-// park blocks the process with no scheduled wake-up; something must later
-// call unpark. Used by the synchronization primitives in this package.
-func (p *Proc) park() {
-	p.waiting = true
-	p.block()
-}
-
-// unpark schedules a parked process to continue at the current time. It is
-// safe to call from engine or process context.
-func (p *Proc) unpark() {
-	if !p.waiting {
-		panic("sim: unpark of non-waiting proc " + p.name)
-	}
-	p.waiting = false
-	p.eng.schedule(p.eng.now, nil, p)
-}
-
-// unparkIfWaiting is unpark for conditions whose waiters re-check in a loop:
-// a process that is already scheduled to run will see the new state anyway,
-// so a second wake-up is a no-op rather than an error.
-func (p *Proc) unparkIfWaiting() {
-	if p.waiting {
-		p.unpark()
-	}
 }

@@ -9,7 +9,9 @@ type Sampler struct {
 
 	interval Time
 	stop     bool
-	proc     *Proc
+	// wake fires on the tick or a Stop, whichever comes first; a fire
+	// finds no waiter once the process is already woken.
+	wake Signal
 }
 
 // StartSampler begins sampling fn every interval, starting one interval in.
@@ -19,19 +21,19 @@ type Sampler struct {
 // appended, so either call observes a consistent X/Y pair set.
 func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
 	s := &Sampler{interval: interval}
-	s.proc = eng.Spawn("sampler", func(p *Proc) {
+	eng.Spawn("sampler", func(p *Proc) {
 		// Bind the wake callback once: a per-interval method value would be
 		// one allocation per tick.
-		wake := p.unparkIfWaiting
+		wake := s.wake.Fire
 		for !s.stop {
-			// An interruptible sleep: Stop unparks the process immediately
+			// An interruptible sleep: Stop wakes the process immediately
 			// instead of letting it doze through one more interval, and the
 			// pending timer is cancelled so it cannot hold the event queue
 			// open or advance the clock past the run's end.
 			deadline := p.Now() + s.interval
 			timer := eng.schedule(deadline, wake, nil)
 			for !s.stop && p.Now() < deadline {
-				p.park()
+				s.wake.Wait(p)
 			}
 			if s.stop {
 				eng.cancel(timer)
@@ -50,9 +52,7 @@ func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
 // interval.
 func (s *Sampler) Stop() {
 	s.stop = true
-	if s.proc != nil {
-		s.proc.unparkIfWaiting()
-	}
+	s.wake.Fire()
 }
 
 // N reports how many samples were taken.

@@ -1,89 +1,140 @@
 package sim
 
-// Queue is an unbounded FIFO of values passed between processes. Get blocks
-// the calling process until an item is available; Put never blocks and may
-// be called from engine context.
-//
-// Items and waiters dequeue by head index rather than re-slicing, so a
-// steady produce/consume cycle reuses the backing arrays instead of
-// creeping through them and reallocating.
-type Queue[T any] struct {
+// Waiter is a parked continuation: exactly what an event carries — a
+// callback to run or a process to resume — on the engine that wakes it.
+// Every primitive here keeps one FIFO of Waiters and wakes either kind by
+// scheduling it at the current instant. Processes use the blocking forms
+// (Get, Acquire, Join, Wait), which enqueue their own waiter and park;
+// event-driven components bind a Waiter per continuation once, with
+// Engine.Waiter, for the non-blocking forms (GetOr, AcquireOr, Enter,
+// Notify), so a wake-up allocates nothing.
+type Waiter struct {
+	eng  *Engine
+	fn   func()
+	proc *Proc
+}
+
+// Waiter returns a callback waiter that runs fn on e when woken.
+func (e *Engine) Waiter(fn func()) Waiter { return Waiter{eng: e, fn: fn} }
+
+// waiter returns the process's own waiter.
+func (p *Proc) waiter() Waiter { return Waiter{eng: p.eng, proc: p} }
+
+// wake schedules the waiter to continue at its engine's current instant.
+func (w Waiter) wake() { w.eng.schedule(w.eng.now, w.fn, w.proc) }
+
+// fifo is a slice queue that dequeues by head index, so a steady
+// produce/consume cycle reuses the backing array instead of creeping
+// through it and reallocating.
+type fifo[T any] struct {
 	items []T
 	head  int
+}
 
-	waiters []*Proc
+func (f *fifo[T]) len() int    { return len(f.items) - f.head }
+func (f *fifo[T]) push(v T)    { f.items = append(f.items, v) }
+func (f *fifo[T]) peek() T     { return f.items[f.head] }
+func (f *fifo[T]) empty() bool { return f.len() == 0 }
+
+// pop removes the head item, recycling the backing array once drained and
+// compacting when the consumed prefix dominates it.
+func (f *fifo[T]) pop() T {
+	v := f.items[f.head]
+	var zero T
+	f.items[f.head] = zero
+	f.head++
+	switch {
+	case f.head == len(f.items):
+		f.items, f.head = f.items[:0], 0
+	case f.head > 32 && f.head > len(f.items)/2:
+		n := copy(f.items, f.items[f.head:])
+		clear(f.items[n:])
+		f.items = f.items[:n]
+		f.head = 0
+	}
+	return v
+}
+
+// wakeAll wakes every queued waiter in FIFO order. Waking only schedules
+// events, so no waiter can join while the loop runs.
+func wakeAll(q *fifo[Waiter]) {
+	for !q.empty() {
+		q.pop().wake()
+	}
+}
+
+// Queue is an unbounded FIFO of values passed between processes and event
+// callbacks. Put never blocks and may be called from engine context.
+type Queue[T any] struct {
+	items   fifo[T]
+	waiters fifo[Waiter]
 }
 
 // NewQueue returns an empty queue.
 func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Put appends v and wakes the oldest waiter, if any.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = dequeue(q.waiters)
-		w.unpark()
+	q.items.push(v)
+	if !q.waiters.empty() {
+		q.waiters.pop().wake()
 	}
+}
+
+// GetOr removes and returns the head item; when the queue is empty it
+// parks w until the next Put instead. A woken waiter polls again, because
+// another consumer may have taken the item first.
+func (q *Queue[T]) GetOr(w Waiter) (v T, ok bool) {
+	if q.items.empty() {
+		q.waiters.push(w)
+		return v, false
+	}
+	return q.items.pop(), true
 }
 
 // Get removes and returns the head item, blocking p while the queue is
 // empty. Waiters are served FIFO.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		q.waiters = append(q.waiters, p)
-		p.park()
+	for {
+		if v, ok := q.GetOr(p.waiter()); ok {
+			return v
+		}
+		p.block()
 	}
-	return q.pop()
 }
 
 // TryGet removes the head item without blocking; ok is false if empty.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if q.Len() == 0 {
+	if q.items.empty() {
 		return v, false
 	}
-	return q.pop(), true
-}
-
-// pop removes the head item, recycling the backing array once drained and
-// compacting when the consumed prefix dominates it.
-func (q *Queue[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	switch {
-	case q.head == len(q.items):
-		q.items = q.items[:0]
-		q.head = 0
-	case q.head > 32 && q.head > len(q.items)/2:
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return v
-}
-
-// dequeue removes the head of a waiter list in place: the lists are short,
-// so a copy-down beats re-slicing the backing array into churn.
-func dequeue(ws []*Proc) []*Proc {
-	n := copy(ws, ws[1:])
-	ws[n] = nil
-	return ws[:n]
+	return q.items.pop(), true
 }
 
 // Semaphore is a counting semaphore used for credits and buffer pools.
+// Waiters are served FIFO, so a large request is not starved by a stream
+// of small ones. A waiter takes its permits when it runs, not when they are
+// released, so Available always shows what has actually been taken.
 type Semaphore struct {
 	count   int
-	waiters []*Proc
+	waiters fifo[Waiter]
+	// woken marks that the head waiter's wake event is pending, so further
+	// releases do not wake it twice.
+	woken bool
+	// grantFn, bound once, takes the permit for a woken callback head
+	// before running its continuation.
+	grantFn func()
 }
 
 // NewSemaphore returns a semaphore holding n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{count: n} }
+func NewSemaphore(n int) *Semaphore {
+	s := &Semaphore{count: n}
+	s.grantFn = s.grant
+	return s
+}
 
 // Available reports the current permit count.
 func (s *Semaphore) Available() int { return s.count }
@@ -92,26 +143,52 @@ func (s *Semaphore) Available() int { return s.count }
 func (s *Semaphore) Acquire(p *Proc) { s.AcquireN(p, 1) }
 
 // AcquireN takes n permits atomically, blocking until the full count is
-// available to this waiter (waiters are served FIFO, so a large request is
-// not starved by a stream of small ones).
+// available to this waiter.
 func (s *Semaphore) AcquireN(p *Proc, n int) {
-	if len(s.waiters) == 0 && s.count >= n {
+	if s.waiters.empty() && s.count >= n {
 		s.count -= n
 		return
 	}
-	s.waiters = append(s.waiters, p)
-	for s.waiters[0] != p || s.count < n {
-		p.park()
+	s.waiters.push(p.waiter())
+	for {
+		// Only the head is ever woken; it re-checks its own count.
+		p.block()
+		s.woken = false
+		if s.count >= n {
+			break
+		}
 	}
-	s.waiters = dequeue(s.waiters)
+	s.waiters.pop()
 	s.count -= n
 	s.wake()
 }
 
-// TryAcquire takes a permit only if one is immediately free and no process
+// AcquireOr takes one permit and returns true if one is free and nobody is
+// queued ahead; otherwise it queues w and returns false, and w runs holding
+// its permit once its turn comes.
+func (s *Semaphore) AcquireOr(w Waiter) bool {
+	if s.waiters.empty() && s.count > 0 {
+		s.count--
+		return true
+	}
+	s.waiters.push(w)
+	return false
+}
+
+// grant runs a woken callback head: a callback always wants one permit,
+// and only the head takes permits while waiters queue, so one is free.
+func (s *Semaphore) grant() {
+	s.woken = false
+	w := s.waiters.pop()
+	s.count--
+	s.wake()
+	w.fn()
+}
+
+// TryAcquire takes a permit only if one is immediately free and no waiter
 // is already queued ahead.
 func (s *Semaphore) TryAcquire() bool {
-	if s.count > 0 && len(s.waiters) == 0 {
+	if s.count > 0 && s.waiters.empty() {
 		s.count--
 		return true
 	}
@@ -127,16 +204,25 @@ func (s *Semaphore) ReleaseN(n int) {
 	s.wake()
 }
 
+// wake schedules the head waiter once permits are free: a process resumes
+// into AcquireN's check, a callback through grant.
 func (s *Semaphore) wake() {
-	if len(s.waiters) > 0 && s.count > 0 {
-		s.waiters[0].unparkIfWaiting()
+	if s.woken || s.waiters.empty() || s.count <= 0 {
+		return
 	}
+	s.woken = true
+	w := s.waiters.peek()
+	if w.proc != nil {
+		w.wake()
+		return
+	}
+	w.eng.schedule(w.eng.now, s.grantFn, nil)
 }
 
-// Signal is a broadcast condition: processes Wait on it and a Fire call
+// Signal is a broadcast condition: waiters park on it and a Fire call
 // wakes every current waiter. A Signal may be fired many times.
 type Signal struct {
-	waiters []*Proc
+	waiters fifo[Waiter]
 	fires   int
 }
 
@@ -148,25 +234,24 @@ func (s *Signal) Fires() int { return s.fires }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.park()
+	s.Notify(p.waiter())
+	p.block()
 }
+
+// Notify parks w until the next Fire.
+func (s *Signal) Notify(w Waiter) { s.waiters.push(w) }
 
 // Fire wakes all current waiters.
 func (s *Signal) Fire() {
 	s.fires++
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w.unpark()
-	}
+	wakeAll(&s.waiters)
 }
 
 // Latch is a one-shot completion flag: Wait returns immediately once Open
 // has been called.
 type Latch struct {
 	open    bool
-	waiters []*Proc
+	waiters fifo[Waiter]
 }
 
 // NewLatch returns a closed latch.
@@ -180,8 +265,8 @@ func (l *Latch) Wait(p *Proc) {
 	if l.open {
 		return
 	}
-	l.waiters = append(l.waiters, p)
-	p.park()
+	l.waiters.push(p.waiter())
+	p.block()
 }
 
 // Open releases all current and future waiters. Opening twice is a no-op.
@@ -190,18 +275,14 @@ func (l *Latch) Open() {
 		return
 	}
 	l.open = true
-	ws := l.waiters
-	l.waiters = nil
-	for _, w := range ws {
-		w.unpark()
-	}
+	wakeAll(&l.waiters)
 }
 
 // WaitGroup counts outstanding work items; Wait blocks until the count hits
 // zero.
 type WaitGroup struct {
 	count   int
-	waiters []*Proc
+	waiters fifo[Waiter]
 }
 
 // Add increments the outstanding count by n (n may be negative, like
@@ -212,11 +293,7 @@ func (w *WaitGroup) Add(n int) {
 		panic("sim: negative WaitGroup count")
 	}
 	if w.count == 0 {
-		ws := w.waiters
-		w.waiters = nil
-		for _, p := range ws {
-			p.unpark()
-		}
+		wakeAll(&w.waiters)
 	}
 }
 
@@ -226,7 +303,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // Wait blocks p until the count is zero.
 func (w *WaitGroup) Wait(p *Proc) {
 	for w.count > 0 {
-		w.waiters = append(w.waiters, p)
-		p.park()
+		w.waiters.push(p.waiter())
+		p.block()
 	}
 }

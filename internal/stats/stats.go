@@ -230,11 +230,16 @@ func SpeedupSeries(name string, normal, active Series) Series {
 	out.Name = name
 	for i := range normal.X {
 		if ay, ok := idx[normal.X[i]]; ok && ay > 0 {
-			out.X = append(out.X, normal.X[i])
-			out.Y = append(out.Y, normal.Y[i]/ay)
+			out.Add(normal.X[i], normal.Y[i]/ay)
 		}
 	}
 	return out
+}
+
+// Add appends the point (x, y).
+func (s *Series) Add(x, y float64) {
+	s.X = append(s.X, x)
+	s.Y = append(s.Y, y)
 }
 
 // MaxY returns the largest Y in the series (0 if empty).
