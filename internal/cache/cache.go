@@ -58,10 +58,16 @@ type line struct {
 }
 
 // Cache is a single set-associative array. It models tags only — data
-// contents live in the benchmark's own Go values.
+// contents live in the benchmark's own Go values. The tag arrays are
+// allocated on the first Access: until then the cache is all-invalid, so a
+// host whose caches a run never references (a network-only workload only
+// ever invalidates them on DMA) costs no memory for them.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
+	cfg Config
+	// lines holds every way, set by set: set s is lines[s*Assoc:(s+1)*Assoc].
+	// One flat array without pointers costs the collector nothing to scan.
+	// It is nil until the first Access.
+	lines   []line
 	setMask int64
 	shift   uint
 	tick    int64
@@ -79,17 +85,28 @@ func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	n := cfg.sets()
-	sets := make([][]line, n)
-	ways := make([]line, n*int64(cfg.Assoc))
-	for i := range sets {
-		sets[i], ways = ways[:cfg.Assoc:cfg.Assoc], ways[cfg.Assoc:]
-	}
 	shift := uint(0)
 	for l := cfg.LineSize; l > 1; l >>= 1 {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: n - 1, shift: shift, mru: make([]int32, n)}
+	return &Cache{cfg: cfg, setMask: cfg.sets() - 1, shift: shift}
+}
+
+// alloc builds the all-invalid tag arrays on first touch.
+func (c *Cache) alloc() {
+	n := c.cfg.sets()
+	c.lines = make([]line, n*int64(c.cfg.Assoc))
+	c.mru = make([]int32, n)
+}
+
+// Allocated reports whether the tag arrays exist, which they do from the
+// first Access on.
+func (c *Cache) Allocated() bool { return c.lines != nil }
+
+// ways returns set's ways.
+func (c *Cache) ways(set int64) []line {
+	a := int64(c.cfg.Assoc)
+	return c.lines[set*a : set*a+a]
 }
 
 // Config returns the geometry.
@@ -109,8 +126,11 @@ func (c *Cache) index(addr int64) (set int64, tag int64) {
 // the access hit and, on miss, whether a dirty victim was written back.
 // write marks the line dirty.
 func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
+	if c.lines == nil {
+		c.alloc()
+	}
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	c.tick++
 	c.stats.Accesses++
 	// MRU-first probe: re-touching the set's hottest line — the common case
@@ -163,8 +183,11 @@ func (c *Cache) Access(addr int64, write bool) (hit bool, writeback bool) {
 // Contains reports whether addr's line is resident, without touching LRU or
 // counters. Used by tests and invariant checks.
 func (c *Cache) Contains(addr int64) bool {
+	if c.lines == nil {
+		return false
+	}
 	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
+	for _, w := range c.ways(set) {
 		if w.valid && w.tag == tag {
 			return true
 		}
@@ -175,8 +198,11 @@ func (c *Cache) Contains(addr int64) bool {
 // Invalidate removes addr's line if resident (DMA coherence), reporting
 // whether it was present.
 func (c *Cache) Invalidate(addr int64) bool {
+	if c.lines == nil {
+		return false
+	}
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.ways(set)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			ways[i] = line{}
@@ -186,16 +212,25 @@ func (c *Cache) Invalidate(addr int64) bool {
 	return false
 }
 
+// invalidateRange drops every line overlapping [base, base+n).
+func (c *Cache) invalidateRange(base, n int64) {
+	if c.lines == nil {
+		return
+	}
+	for a := c.LineBase(base); a < base+n; a += c.cfg.LineSize {
+		c.Invalidate(a)
+	}
+}
+
 // Flush invalidates every line, returning how many dirty lines were
-// discarded (the caller decides whether to charge writebacks).
+// discarded (the caller decides whether to charge writebacks). An
+// unallocated cache has none.
 func (c *Cache) Flush() (dirty int) {
-	for _, ways := range c.sets {
-		for i := range ways {
-			if ways[i].valid && ways[i].dirty {
-				dirty++
-			}
-			ways[i] = line{}
+	for i := range c.lines {
+		if c.lines[i].valid && c.lines[i].dirty {
+			dirty++
 		}
+		c.lines[i] = line{}
 	}
 	return dirty
 }

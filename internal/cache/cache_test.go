@@ -368,3 +368,62 @@ func TestInvalidateRangeDropsBothLevels(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestUntouchedCacheAllocatesNothing: until the first Access a cache holds
+// no tag arrays, and the read and invalidate paths — all a network-only run
+// ever calls, through DMA coherence — neither allocate them nor count.
+func TestUntouchedCacheAllocatesNothing(t *testing.T) {
+	c := New(Config{Name: "t", Size: 32 * 1024, LineSize: 64, Assoc: 2})
+	_, h := newTestHier(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Invalidate(4096)
+		c.Contains(4096)
+		c.Flush()
+		h.InvalidateRange(0, 1<<20)
+		h.FlushData()
+	})
+	if allocs != 0 {
+		t.Errorf("untouched cache paths allocated %.1f per run, want 0", allocs)
+	}
+	for _, cc := range []*Cache{c, h.L1D(), h.L1I(), h.L2()} {
+		if cc.Allocated() {
+			t.Errorf("%s: tag arrays allocated without an Access", cc.Config().Name)
+		}
+		if cc.Stats() != (Stats{}) {
+			t.Errorf("%s: stats %+v, want zero", cc.Config().Name, cc.Stats())
+		}
+	}
+	if c.Invalidate(0) || c.Contains(0) || c.Flush() != 0 {
+		t.Error("untouched cache reported a resident line")
+	}
+	c.Access(0, true)
+	if !c.Allocated() || !c.Contains(0) {
+		t.Error("first Access did not fill the cache")
+	}
+}
+
+// TestFirstTouchMatchesEager replays one reference stream, with
+// invalidations before the first access, on a fresh cache and on one whose
+// arrays were forced up front: the counters and residency must agree.
+func TestFirstTouchMatchesEager(t *testing.T) {
+	cfg := Config{Name: "t", Size: 4 * 1024, LineSize: 64, Assoc: 4}
+	lazy, eager := New(cfg), New(cfg)
+	eager.alloc()
+	for _, c := range []*Cache{lazy, eager} {
+		c.Invalidate(128)
+		for i := int64(0); i < 2000; i++ {
+			c.Access(i*i*64%(64*1024), i%3 == 0)
+			if i%7 == 0 {
+				c.Invalidate(i * 64)
+			}
+		}
+	}
+	if lazy.Stats() != eager.Stats() {
+		t.Fatalf("stats diverged: lazy %+v eager %+v", lazy.Stats(), eager.Stats())
+	}
+	for a := int64(0); a < 64*1024; a += 64 {
+		if lazy.Contains(a) != eager.Contains(a) {
+			t.Fatalf("residency of %#x diverged", a)
+		}
+	}
+}

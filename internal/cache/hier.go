@@ -256,15 +256,9 @@ func (h *Hierarchy) InvalidateRange(base, n int64) {
 	if n <= 0 {
 		return
 	}
-	step := h.l1d.LineSize()
-	for a := h.l1d.LineBase(base); a < base+n; a += step {
-		h.l1d.Invalidate(a)
-	}
+	h.l1d.invalidateRange(base, n)
 	if h.l2 != nil {
-		step = h.l2.LineSize()
-		for a := h.l2.LineBase(base); a < base+n; a += step {
-			h.l2.Invalidate(a)
-		}
+		h.l2.invalidateRange(base, n)
 	}
 }
 

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"activesan/internal/aswitch"
@@ -224,6 +224,11 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		cfg := t.Switch
 		cfg.Base.Ports = ports
 		sw := aswitch.New(engOf(i), SwitchIDBase+san.NodeID(i), spec.Name, cfg)
+		// Every switch routes to every endpoint and switch: one dense run
+		// per id block.
+		sw.ReserveRoutes(HostIDBase, len(t.Hosts))
+		sw.ReserveRoutes(StoreIDBase, len(t.Stores))
+		sw.ReserveRoutes(SwitchIDBase, n)
 		info.Sw[i] = sw
 		info.Index[sw.ID()] = i
 		info.PortPeer[i] = make(map[int]int)
@@ -235,6 +240,9 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 	// Endpoints always share their switch's partition, so their links never
 	// cross a cut.
 	nextPort := make([]int, n)
+	// adj lists each switch's trunks in port order, which is attachment
+	// order: the routing BFS walks it instead of PortPeer's maps.
+	adj := make([][]trunk, n)
 	for i, h := range t.Hosts {
 		id := HostIDBase + san.NodeID(i)
 		sw := info.Sw[h.Switch]
@@ -271,28 +279,26 @@ func build(t Topology, eng *sim.Engine, g *sim.Group, part []int) *Cluster {
 		info.Sw[l.B].AttachPort(nextPort[l.B], ab, ba)
 		info.PortPeer[l.A][nextPort[l.A]] = l.B
 		info.PortPeer[l.B][nextPort[l.B]] = l.A
+		adj[l.A] = append(adj[l.A], trunk{port: nextPort[l.A], peer: l.B})
+		adj[l.B] = append(adj[l.B], trunk{port: nextPort[l.B], peer: l.A})
 		nextPort[l.A]++
 		nextPort[l.B]++
 	}
 
-	installShortestPaths(info)
+	installShortestPaths(info, adj)
 	return c
 }
 
+// trunk is one switch-to-switch port and the spec index of the switch
+// behind it.
+type trunk struct{ port, peer int }
+
 // installShortestPaths fills every switch's routing table from BFS over the
-// trunk graph: one BFS per destination switch covers that switch's own id
-// and every endpoint attached to it.
-func installShortestPaths(info *TopoInfo) {
+// trunk graph adj (each switch's trunks in ascending port order, so
+// candidate order is a pure function of the spec): one BFS per destination
+// switch covers that switch's own id and every endpoint attached to it.
+func installShortestPaths(info *TopoInfo, adj [][]trunk) {
 	n := len(info.Sw)
-	// Sorted trunk-port lists make candidate order a pure function of the
-	// spec.
-	ports := make([][]int, n)
-	for i := range ports {
-		for p := range info.PortPeer[i] {
-			ports[i] = append(ports[i], p)
-		}
-		sort.Ints(ports[i])
-	}
 
 	// destsAt[t]: node ids routed toward switch t.
 	destsAt := make([][]san.NodeID, n)
@@ -304,23 +310,25 @@ func installShortestPaths(info *TopoInfo) {
 	for id := range info.Attach {
 		epIDs = append(epIDs, id)
 	}
-	sort.Slice(epIDs, func(a, b int) bool { return epIDs[a] < epIDs[b] })
+	slices.Sort(epIDs)
 	for _, id := range epIDs {
 		at := info.Attach[id]
 		destsAt[at] = append(destsAt[at], id)
 	}
 
 	dist := make([]int, n)
+	queue := make([]int, 0, n)
+	var cand []int
 	for tIdx := 0; tIdx < n; tIdx++ {
-		bfsFrom(info, tIdx, dist)
+		bfsFrom(adj, tIdx, dist, queue)
 		for s := 0; s < n; s++ {
 			if s == tIdx || dist[s] < 0 {
 				continue
 			}
-			var cand []int
-			for _, p := range ports[s] {
-				if peer := info.PortPeer[s][p]; dist[peer] == dist[s]-1 {
-					cand = append(cand, p)
+			cand = cand[:0]
+			for _, tr := range adj[s] {
+				if dist[tr.peer] == dist[s]-1 {
+					cand = append(cand, tr.port)
 				}
 			}
 			if len(cand) == 0 {
@@ -339,20 +347,19 @@ func installShortestPaths(info *TopoInfo) {
 }
 
 // bfsFrom fills dist with hop counts from switch t over the trunk graph
-// (-1 = unreachable).
-func bfsFrom(info *TopoInfo, t int, dist []int) {
+// (-1 = unreachable), using queue's capacity as its work list.
+func bfsFrom(adj [][]trunk, t int, dist, queue []int) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[t] = 0
-	queue := []int{t}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, peer := range info.PortPeer[v] {
-			if dist[peer] < 0 {
-				dist[peer] = dist[v] + 1
-				queue = append(queue, peer)
+	queue = append(queue[:0], t)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, tr := range adj[v] {
+			if dist[tr.peer] < 0 {
+				dist[tr.peer] = dist[v] + 1
+				queue = append(queue, tr.peer)
 			}
 		}
 	}

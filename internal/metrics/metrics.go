@@ -110,13 +110,16 @@ func ratio(num, den float64) float64 {
 }
 
 // maxWith scans values whose name contains infix ("" matches all) and has
-// the given suffix, returning the largest with its name.
+// the given suffix, returning the largest with its name. Ties go to the
+// lexicographically smallest name, so the winner does not depend on map
+// order; NaN values never win.
 func (s *Snapshot) maxWith(infix, suffix string) (name string, v float64, ok bool) {
-	for _, n := range s.Names() {
-		if strings.Contains(n, infix) && strings.HasSuffix(n, suffix) {
-			if !ok || s.Values[n] > v {
-				name, v, ok = n, s.Values[n], true
-			}
+	for n, x := range s.Values {
+		if x != x || !strings.HasSuffix(n, suffix) || !strings.Contains(n, infix) {
+			continue
+		}
+		if !ok || x > v || (x == v && n < name) {
+			name, v, ok = n, x, true
 		}
 	}
 	return name, v, ok

@@ -70,6 +70,37 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestSummaryMaxTieBreak pins maxWith's winner to the one a scan in sorted
+// name order picks — the largest value, ties to the smallest name — on a
+// snapshot full of ties, so the headline is independent of map order.
+func TestSummaryMaxTieBreak(t *testing.T) {
+	s := NewSnapshot()
+	for _, n := range []string{"sw9", "sw10", "sw2", "sw3", "sw1"} {
+		s.Set(n+"/port0/out/util", 0.5)
+		s.SetInt(n+"/max_queue_depth", 3)
+	}
+	s.Set("sw3/port1/out/util", 0.5)
+	s.Set("h7/mem/bus_util", 0.2)
+	s.Set("h5/mem/bus_util", 0.2)
+	s.Set("h6/mem/bus_util", 0.1)
+	want := []string{
+		"link util max 50.0% (sw1/port0/out)",
+		"mem bus util max 20.0% (h5)",
+		"switch queue max 3 (sw1)",
+	}
+	for i := 0; i < 20; i++ { // fresh map iteration order each time
+		got := s.Summary()
+		if strings.Join(got, "; ") != strings.Join(want, "; ") {
+			t.Fatalf("Summary = %q, want %q", got, want)
+		}
+	}
+	// A strictly larger value beats every tie, whatever its name.
+	s.SetInt("sw99/max_queue_depth", 4)
+	if name, v, _ := s.maxWith("", "/max_queue_depth"); name != "sw99/max_queue_depth" || v != 4 {
+		t.Errorf("maxWith = %s %g, want sw99/max_queue_depth 4", name, v)
+	}
+}
+
 func TestSummaryEmpty(t *testing.T) {
 	if sum := NewSnapshot().Summary(); len(sum) != 0 {
 		t.Errorf("empty snapshot Summary = %v, want none", sum)

@@ -94,8 +94,7 @@ type Switch struct {
 	cfg    SwitchConfig
 	ports  []Port
 	in     []*inPort
-	routes map[NodeID]int
-	backup map[NodeID]int
+	routes routeTable
 	pool   *sim.Semaphore
 	outQ   []*sim.Queue[*Packet]
 	local  LocalSink
@@ -118,18 +117,19 @@ func NewSwitch(eng *sim.Engine, id NodeID, name string, cfg SwitchConfig) *Switc
 	if cfg.Ports <= 0 {
 		panic("san: switch needs ports")
 	}
+	if cfg.Ports > maxPorts {
+		panic(fmt.Sprintf("san: %d ports exceed the %d a switch supports", cfg.Ports, maxPorts))
+	}
 	s := &Switch{
-		eng:    eng,
-		id:     id,
-		name:   name,
-		cfg:    cfg,
-		ports:  make([]Port, cfg.Ports),
-		in:     make([]*inPort, cfg.Ports),
-		routes: make(map[NodeID]int),
-		backup: make(map[NodeID]int),
-		pool:   sim.NewSemaphore(cfg.PoolPackets),
-		outQ:   make([]*sim.Queue[*Packet], cfg.Ports),
-		arb:    sim.NewArbiter(eng),
+		eng:   eng,
+		id:    id,
+		name:  name,
+		cfg:   cfg,
+		ports: make([]Port, cfg.Ports),
+		in:    make([]*inPort, cfg.Ports),
+		pool:  sim.NewSemaphore(cfg.PoolPackets),
+		outQ:  make([]*sim.Queue[*Packet], cfg.Ports),
+		arb:   sim.NewArbiter(eng),
 	}
 	for i := range s.outQ {
 		s.outQ[i] = sim.NewQueue[*Packet]()
@@ -189,42 +189,45 @@ func (s *Switch) AttachPort(i int, in, out *Link) {
 // SetRoute directs packets for dst out of port. Routes may be updated before
 // Start only.
 func (s *Switch) SetRoute(dst NodeID, port int) {
-	if s.started {
-		panic("san: SetRoute after Start")
-	}
-	if port < 0 || port >= s.cfg.Ports {
-		panic(fmt.Sprintf("san: route to port %d of %d-port switch", port, s.cfg.Ports))
-	}
-	s.routes[dst] = port
-}
-
-// Route returns the output port for dst, or -1 if unroutable.
-func (s *Switch) Route(dst NodeID) int {
-	if p, ok := s.routes[dst]; ok {
-		return p
-	}
-	return -1
-}
-
-// BackupRoute returns the backup output port for dst, or -1 if none.
-func (s *Switch) BackupRoute(dst NodeID) int {
-	if p, ok := s.backup[dst]; ok {
-		return p
-	}
-	return -1
+	s.checkRoute("SetRoute", port)
+	s.routes.slot(dst).primary = uint16(port + 1)
 }
 
 // SetBackupRoute directs packets for dst out of port when the primary
 // route's link is down. Like SetRoute, backup routes are fixed before Start.
 func (s *Switch) SetBackupRoute(dst NodeID, port int) {
+	s.checkRoute("SetBackupRoute", port)
+	s.routes.slot(dst).backup = uint16(port + 1)
+}
+
+// ReserveRoutes sizes the routing table for the n destination ids from
+// base as one dense run, so the SetRoute calls that fill it are index
+// stores. It is an optimisation only: routes for ids outside any reserved
+// range work the same way.
+func (s *Switch) ReserveRoutes(base NodeID, n int) {
 	if s.started {
-		panic("san: SetBackupRoute after Start")
+		panic("san: ReserveRoutes after Start")
+	}
+	if n > 0 {
+		s.routes.reserve(base, n)
+	}
+}
+
+// checkRoute rejects a route write after Start or to a port out of range.
+func (s *Switch) checkRoute(op string, port int) {
+	if s.started {
+		panic("san: " + op + " after Start")
 	}
 	if port < 0 || port >= s.cfg.Ports {
-		panic(fmt.Sprintf("san: backup route to port %d of %d-port switch", port, s.cfg.Ports))
+		panic(fmt.Sprintf("san: %s to port %d of %d-port switch", op, port, s.cfg.Ports))
 	}
-	s.backup[dst] = port
 }
+
+// Route returns the output port for dst, or -1 if unroutable.
+func (s *Switch) Route(dst NodeID) int { return int(s.routes.get(dst).primary) - 1 }
+
+// BackupRoute returns the backup output port for dst, or -1 if none.
+func (s *Switch) BackupRoute(dst NodeID) int { return int(s.routes.get(dst).backup) - 1 }
 
 // portUp reports whether port i can currently transmit: an unattached Out
 // link counts as up so local-sink-only ports keep working.
@@ -238,17 +241,15 @@ func (s *Switch) portUp(i int) bool {
 // returns the primary anyway — the packet is then lost on the dead link,
 // where loss accounting and retransmission live.
 func (s *Switch) pickRoute(dst NodeID) (port int, rerouted bool) {
-	p, ok := s.routes[dst]
-	if ok && s.portUp(p) {
+	e := s.routes.get(dst)
+	p, b := int(e.primary)-1, int(e.backup)-1
+	if p >= 0 && s.portUp(p) {
 		return p, false
 	}
-	if b, okb := s.backup[dst]; okb && s.portUp(b) {
-		return b, ok // a reroute only if a primary existed and was down
+	if b >= 0 && s.portUp(b) {
+		return b, p >= 0 // a reroute only if a primary existed and was down
 	}
-	if ok {
-		return p, false
-	}
-	return -1, false
+	return p, false // -1 when there is no primary
 }
 
 // noteNoRoute accounts an unroutable packet and, under -strict-routes,

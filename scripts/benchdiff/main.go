@@ -21,6 +21,10 @@
 //     can enforce it even on noisy shared runners. Macro benchmarks (whole
 //     collectives, millions of allocations) get 1.5x head-room — their
 //     counts scale with workload shape, not with a pooling promise.
+//   - B/op is gated, with the same 1.5x head-room, for every benchmark
+//     whose baseline records bytes_per_op. It catches what a count cannot:
+//     a few large allocations, such as eagerly built cache arrays or route
+//     maps in a fabric build.
 //   - ns/op is gated only when -threshold is positive (e.g. 0.25 allows a
 //     25% slowdown). Wall-clock on CI runners is noisy, so CI passes
 //     -allocs-only and the timing table is informational there; run the
@@ -44,6 +48,7 @@ import (
 type entry struct {
 	NsPerOp     float64            `json:"ns_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -84,7 +89,7 @@ func parse(r io.Reader) (map[string]entry, error) {
 			case "allocs/op":
 				e.AllocsPerOp = int64(v)
 			case "B/op":
-				// Alloc bytes ride along with allocs/op; the count is the gate.
+				e.BytesPerOp = int64(v)
 			default:
 				if e.Metrics == nil {
 					e.Metrics = make(map[string]float64)
@@ -135,7 +140,7 @@ func main() {
 
 	if *update {
 		b := baseline{
-			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ | go run ./scripts/benchdiff -update",
+			Note:       "Engine microbenchmark baseline; regenerate with: go test -run '^$' -bench . -benchmem ./internal/sim/ ./internal/cache/ ./internal/apps/scalesweep/ ./internal/collective/ ./internal/cluster/ | go run ./scripts/benchdiff -update",
 			Benchmarks: got,
 		}
 		data, err := json.MarshalIndent(b, "", "  ")
@@ -185,6 +190,10 @@ func main() {
 		mark := ""
 		if allocRegressed(b.AllocsPerOp, cur.AllocsPerOp) {
 			mark = "  ALLOC REGRESSION"
+			failed = true
+		}
+		if b.BytesPerOp > 0 && float64(cur.BytesPerOp) > float64(b.BytesPerOp)*1.5 {
+			mark += fmt.Sprintf("  BYTES REGRESSION (%d → %d B/op)", b.BytesPerOp, cur.BytesPerOp)
 			failed = true
 		}
 		if !*allocsOnly && *threshold > 0 && delta > *threshold {
