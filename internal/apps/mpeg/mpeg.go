@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sync/atomic"
 
 	"activesan/internal/apps"
 	"activesan/internal/aswitch"
@@ -212,19 +211,6 @@ func (f *filter) Feed(data []byte) {
 		f.hdr = f.hdr[:0]
 	}
 }
-
-// dbg prints debug traces when enabled. Atomic so SetDebug is safe while
-// experiments run on other goroutines.
-var debugTrace atomic.Bool
-
-func dbg(format string, args ...any) {
-	if debugTrace.Load() {
-		fmt.Printf("[mpeg] "+format+"\n", args...)
-	}
-}
-
-// SetDebug toggles debug tracing (tests/diagnosis only).
-func SetDebug(v bool) { debugTrace.Store(v) }
 
 const handlerID = 11
 

@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 )
 
 // This file implements the multi-engine mode: a Group of Engines, one per
@@ -105,24 +105,12 @@ func (c *Channel) Credit(fn func()) {
 	c.cred = append(c.cred, xmsg{at: c.dstEng.now, seq: c.cseq, fn: fn})
 }
 
-// Src and Dst report the partition ranks the channel connects.
-func (c *Channel) Src() int { return c.src }
-
-// Dst reports the receiving partition rank.
-func (c *Channel) Dst() int { return c.dst }
-
 // groupWorker is one partition's persistent runner goroutine: the
 // coordinator sends a window deadline on start and receives the window's
-// wall-clock cost and recovered panic (or nil) on done.
+// recovered panic (or nil) on done.
 type groupWorker struct {
 	start chan Time
-	done  chan windowResult
-}
-
-// windowResult is what a worker reports back after one window.
-type windowResult struct {
-	busy time.Duration
-	pp   *procPanic
+	done  chan *procPanic
 }
 
 // injItem is one message flattened for barrier injection, carrying its
@@ -136,30 +124,19 @@ type injItem struct {
 	fn   func()
 }
 
-// injSorter orders a Group's injection scratch by (at, tie, seq). It is
-// boxed into an interface once at NewGroup so the per-barrier sort.Sort call
-// allocates nothing — the barrier loop stays zero-alloc in steady state
-// (see TestGroupBarrierZeroAllocs).
-type injSorter struct{ g *Group }
-
-func (s *injSorter) Len() int { return len(s.g.inj) }
-func (s *injSorter) Swap(i, j int) {
-	inj := s.g.inj
-	inj[i], inj[j] = inj[j], inj[i]
-}
-func (s *injSorter) Less(i, j int) bool {
-	x, y := &s.g.inj[i], &s.g.inj[j]
-	if x.at != y.at {
-		return x.at < y.at
+// injCmp orders barrier injections by (at, tie, seq).
+func injCmp(x, y injItem) int {
+	if c := cmp.Compare(x.at, y.at); c != 0 {
+		return c
 	}
-	if x.tie != y.tie {
-		return x.tie < y.tie
+	if c := cmp.Compare(x.tie, y.tie); c != 0 {
+		return c
 	}
-	return x.seq < y.seq
+	return cmp.Compare(x.seq, y.seq)
 }
 
-// groupSampler is a Sampler driven at barrier epochs instead of by its own
-// process, so the timeline observes one coherent virtual time across
+// groupSampler is a Sampler driven at barrier epochs instead of by engine
+// callbacks, so the timeline observes one coherent virtual time across
 // partitions.
 type groupSampler struct {
 	s    *Sampler
@@ -184,7 +161,6 @@ type Group struct {
 	active  []bool // ranks running in the current round
 	dl      []Time // per-rank window deadline for the current round
 	inj     []injItem
-	injSort sort.Interface // pre-boxed injSorter
 
 	// Barriers scan only what changed, not every channel. ddirty[r] lists
 	// channels rank r posted deliveries on this window (written only by r's
@@ -205,14 +181,11 @@ type Group struct {
 
 	samplers []*groupSampler
 
-	started    bool
-	shutdown   bool
-	sequential bool
+	started  bool
+	shutdown bool
 
 	rounds     int64
 	microSteps int64
-	busyTotal  time.Duration
-	busyCrit   time.Duration
 	evTotal    int64
 	evCrit     int64
 	ev0        []int64 // per-rank Events() at window start (dispatch scratch)
@@ -237,10 +210,9 @@ func NewGroup(n int) *Group {
 		ev0:     make([]int64, n),
 	}
 	g.pairCredLA = make([][]Time, n)
-	g.injSort = &injSorter{g}
 	for i := range g.engines {
 		g.engines[i] = NewEngine()
-		g.workers[i] = groupWorker{start: make(chan Time), done: make(chan windowResult)}
+		g.workers[i] = groupWorker{start: make(chan Time), done: make(chan *procPanic)}
 		g.pairLA[i] = make([]Time, n)
 		g.pairCredLA[i] = make([]Time, n)
 		for j := range g.pairLA[i] {
@@ -265,38 +237,15 @@ func (g *Group) Rounds() int64 { return g.rounds }
 // (cross-partition activity dense enough that no window fit the lookahead).
 func (g *Group) MicroSteps() int64 { return g.microSteps }
 
-// BusyTime reports the summed wall-clock cost of every window run so far —
-// the total engine work, regardless of how many cores overlapped it.
-func (g *Group) BusyTime() time.Duration { return g.busyTotal }
-
-// CriticalPath reports the summed per-round *maximum* window cost: the
-// engine-work wall clock of a run with at least Len() free cores, since
-// windows within a round are independent. On a machine with fewer cores the
-// measured wall time exceeds this; wall - BusyTime + CriticalPath projects
-// the fully parallel run time (barrier overhead included unchanged). Exact
-// only under SetSequential — overlapping workers also clock time spent
-// descheduled, inflating both totals.
-func (g *Group) CriticalPath() time.Duration { return g.busyCrit }
-
 // EventsTotal reports how many events fired across all partitions, and
 // EventsCritical the summed per-round maximum — the event count on the
-// critical path. Unlike the wall-clock pair above, both are deterministic
-// (a replay of the same workload yields the same counts, sequential or
-// concurrent), so EventsTotal/EventsCritical measures the workload's
-// available parallelism free of scheduler noise: a preemption inside one
-// rank's window inflates that round's wall-clock maximum but cannot change
-// how many events the window executed.
+// critical path. Both are deterministic (a replay of the same workload
+// yields the same counts), so EventsTotal/EventsCritical measures the
+// workload's available parallelism free of scheduler noise.
 func (g *Group) EventsTotal() int64 { return g.evTotal }
 
 // EventsCritical — see EventsTotal.
 func (g *Group) EventsCritical() int64 { return g.evCrit }
-
-// SetSequential makes Run execute windows one partition at a time on the
-// coordinator goroutine instead of concurrently on workers. Results are
-// identical (windows within a round are independent); the point is exact
-// BusyTime/CriticalPath accounting on machines with fewer cores than
-// partitions, where overlapped workers cannot time themselves honestly.
-func (g *Group) SetSequential(on bool) { g.sequential = on }
 
 // Connect registers the channel for one cut-link direction: deliveries run
 // on dst's engine, credits return to src's. lookahead must be positive (a
@@ -405,9 +354,7 @@ func (g *Group) startWorkers() {
 	for i := range g.workers {
 		go func(rank int, e *Engine, w groupWorker) {
 			for deadline := range w.start {
-				t0 := time.Now()
-				pp := runWindowRecover(e, rank, deadline)
-				w.done <- windowResult{busy: time.Since(t0), pp: pp}
+				w.done <- runWindowRecover(e, rank, deadline)
 			}
 		}(i, g.engines[i], g.workers[i])
 	}
@@ -455,7 +402,7 @@ func (g *Group) injectAll() {
 	}
 	// The key (at, tie, seq) is total — tie is unique per channel direction
 	// and seq unique within it — so an unstable sort is already deterministic.
-	sort.Sort(g.injSort)
+	slices.SortFunc(g.inj, injCmp)
 	for i := range g.inj {
 		it := &g.inj[i]
 		if it.cred {
@@ -536,8 +483,8 @@ func (g *Group) fireSamplers(T Time) Time {
 }
 
 // drainEpoch keeps live samplers' timelines going after every engine has
-// drained, mirroring the serial sampler whose process holds the event queue
-// open until Stop: the earliest pending epoch fires with all engine clocks
+// drained, mirroring the serial sampler whose armed tick holds the event
+// queue open until Stop: the earliest pending epoch fires with all engine clocks
 // advanced to it, so Run's return value and the timeline length match the
 // serial run's. Reports false when no live sampler remains — the true end of
 // the simulation.
@@ -682,65 +629,33 @@ func (g *Group) microStep(T Time) {
 	g.dispatch()
 }
 
-// dispatch runs every active rank's window at its g.dl deadline —
-// concurrently on the workers, or inline in sequential mode — then re-raises
-// the lowest-ranked window panic on the coordinator goroutine.
+// dispatch runs every active rank's window at its g.dl deadline concurrently
+// on the workers, then re-raises the lowest-ranked window panic on the
+// coordinator goroutine.
 func (g *Group) dispatch() {
-	var fatal *procPanic
-	var crit time.Duration
-	var evCrit int64
-	if g.sequential {
-		for i := range g.engines {
-			if !g.active[i] {
-				continue
-			}
-			ev0 := g.engines[i].Events()
-			t0 := time.Now()
-			pp := runWindowRecover(g.engines[i], i, g.dl[i])
-			busy := time.Since(t0)
-			g.busyTotal += busy
-			if busy > crit {
-				crit = busy
-			}
-			dev := g.engines[i].Events() - ev0
-			g.evTotal += dev
-			if dev > evCrit {
-				evCrit = dev
-			}
-			if pp != nil && fatal == nil {
-				fatal = pp
-			}
-		}
-	} else {
-		// Events() is read on the coordinator while each engine is quiescent:
-		// before its start send and after its done receive, both of which
-		// order memory with the worker goroutine.
-		for i := range g.engines {
-			if g.active[i] {
-				g.ev0[i] = g.engines[i].Events()
-				g.workers[i].start <- g.dl[i]
-			}
-		}
-		for i := range g.engines {
-			if !g.active[i] {
-				continue
-			}
-			r := <-g.workers[i].done
-			g.busyTotal += r.busy
-			if r.busy > crit {
-				crit = r.busy
-			}
-			dev := g.engines[i].Events() - g.ev0[i]
-			g.evTotal += dev
-			if dev > evCrit {
-				evCrit = dev
-			}
-			if r.pp != nil && fatal == nil {
-				fatal = r.pp
-			}
+	// Events() is read on the coordinator while each engine is quiescent:
+	// before its start send and after its done receive, both of which order
+	// memory with the worker goroutine.
+	for i := range g.engines {
+		if g.active[i] {
+			g.ev0[i] = g.engines[i].Events()
+			g.workers[i].start <- g.dl[i]
 		}
 	}
-	g.busyCrit += crit
+	var fatal *procPanic
+	var evCrit int64
+	for i := range g.engines {
+		if !g.active[i] {
+			continue
+		}
+		pp := <-g.workers[i].done
+		dev := g.engines[i].Events() - g.ev0[i]
+		g.evTotal += dev
+		evCrit = max(evCrit, dev)
+		if pp != nil && fatal == nil {
+			fatal = pp
+		}
+	}
 	g.evCrit += evCrit
 	if fatal != nil {
 		panic(fatal)

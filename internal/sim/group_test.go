@@ -179,7 +179,7 @@ func groupSamplerWorkload() (serial, grouped *Sampler, cleanup func()) {
 }
 
 // TestGroupSamplerMatchesSerial: a Group sampler fires on the same epoch
-// grid with the same values as the serial process-based sampler — the
+// grid with the same values as the serial engine's callback sampler — the
 // timeline seam partitioned clusters rely on.
 func TestGroupSamplerMatchesSerial(t *testing.T) {
 	ss, gs, cleanup := groupSamplerWorkload()
@@ -192,13 +192,14 @@ func TestGroupSamplerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGroupSequentialEquivalence: SetSequential runs windows inline with
-// identical results, and makes the busy-time accounting live.
-func TestGroupSequentialEquivalence(t *testing.T) {
-	run := func(sequential bool) (Time, []Time, int64, int64) {
+// TestGroupRunTwiceIdentical: two runs of the same partitioned workload
+// deliver at the same times, end at the same time and count the same events
+// — the deterministic EventsTotal/EventsCritical pair is a pure function of
+// the workload, whatever the workers' scheduling.
+func TestGroupRunTwiceIdentical(t *testing.T) {
+	run := func() (Time, []Time, int64, int64) {
 		g := NewGroup(2)
 		defer g.Shutdown()
-		g.SetSequential(sequential)
 		ch := g.Connect(0, 1, 5, 2)
 		var at []Time
 		g.Engine(0).Schedule(1, func() {
@@ -206,23 +207,21 @@ func TestGroupSequentialEquivalence(t *testing.T) {
 			ch.Deliver(9, func() { at = append(at, g.Engine(1).Now()) })
 		})
 		end := g.Run()
-		if sequential && (g.BusyTime() <= 0 || g.CriticalPath() <= 0 || g.CriticalPath() > g.BusyTime()) {
-			t.Fatalf("sequential accounting: busy=%v crit=%v", g.BusyTime(), g.CriticalPath())
-		}
 		if g.EventsTotal() <= 0 || g.EventsCritical() <= 0 || g.EventsCritical() > g.EventsTotal() {
 			t.Fatalf("event accounting: total=%d crit=%d", g.EventsTotal(), g.EventsCritical())
 		}
 		return end, at, g.EventsTotal(), g.EventsCritical()
 	}
-	endC, atC, evTotC, evCritC := run(false)
-	endS, atS, evTotS, evCritS := run(true)
-	if endC != endS || !reflect.DeepEqual(atC, atS) {
-		t.Fatalf("sequential run diverged: end %d vs %d, deliveries %v vs %v", endC, endS, atC, atS)
+	end1, at1, evTot1, evCrit1 := run()
+	end2, at2, evTot2, evCrit2 := run()
+	if end1 != end2 || !reflect.DeepEqual(at1, at2) {
+		t.Fatalf("second run diverged: end %d vs %d, deliveries %v vs %v", end1, end2, at1, at2)
 	}
-	// The wall-clock pair is timing-dependent, but the event counts must be
-	// exactly reproducible in either execution mode.
-	if evTotC != evTotS || evCritC != evCritS {
-		t.Fatalf("event accounting diverged: total %d vs %d, critical %d vs %d", evTotC, evTotS, evCritC, evCritS)
+	if want := []Time{6, 9}; !reflect.DeepEqual(at1, want) {
+		t.Fatalf("deliveries at %v, want %v", at1, want)
+	}
+	if evTot1 != evTot2 || evCrit1 != evCrit2 {
+		t.Fatalf("event accounting diverged: total %d vs %d, critical %d vs %d", evTot1, evTot2, evCrit1, evCrit2)
 	}
 }
 
@@ -230,29 +229,24 @@ func TestGroupSequentialEquivalence(t *testing.T) {
 // the coordinator goroutine; with several failing ranks the lowest wins, so
 // the surfaced crash is deterministic.
 func TestGroupPanicPropagation(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		g := NewGroup(2)
-		g.SetSequential(sequential)
-		g.Engine(1).Schedule(5, func() { panic("boom-rank1") })
-		g.Engine(0).Schedule(5, func() { panic("boom-rank0") })
-		func() {
-			defer g.Shutdown()
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("sequential=%v: Run did not panic", sequential)
-				}
-				msg := fmt.Sprint(r)
-				if pp, ok := r.(*procPanic); ok {
-					msg = fmt.Sprint(pp.value)
-				}
-				if !strings.Contains(msg, "boom-rank0") {
-					t.Fatalf("sequential=%v: surfaced %q, want the rank-0 panic", sequential, msg)
-				}
-			}()
-			g.Run()
-		}()
-	}
+	g := NewGroup(2)
+	defer g.Shutdown()
+	g.Engine(1).Schedule(5, func() { panic("boom-rank1") })
+	g.Engine(0).Schedule(5, func() { panic("boom-rank0") })
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run did not panic")
+		}
+		msg := fmt.Sprint(r)
+		if pp, ok := r.(*procPanic); ok {
+			msg = fmt.Sprint(pp.value)
+		}
+		if !strings.Contains(msg, "boom-rank0") {
+			t.Fatalf("surfaced %q, want the rank-0 panic", msg)
+		}
+	}()
+	g.Run()
 }
 
 // TestGroupConnectValidation: the wiring mistakes that would silently break

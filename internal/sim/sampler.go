@@ -1,17 +1,24 @@
 package sim
 
 // Sampler records a value at fixed simulated intervals — utilization or
-// queue-depth timelines for figures. It runs as a process; Stop it before
-// the simulation ends (a live sampler keeps the event queue non-empty).
+// queue-depth timelines for figures. On a serial engine it runs as event
+// callbacks; Stop it before the simulation ends (a live sampler keeps the
+// event queue non-empty).
 type Sampler struct {
 	X []float64 // sample times, seconds
 	Y []float64
 
 	interval Time
 	stop     bool
-	// wake fires on the tick or a Stop, whichever comes first; a fire
-	// finds no waiter once the process is already woken.
-	wake Signal
+
+	// Serial-engine state; a Group drives its samplers at barrier epochs
+	// and leaves it zero. The callbacks are bound once, so a tick
+	// allocates nothing.
+	eng      *Engine
+	fn       func() float64
+	tick     timer // the armed tick, cancelled by Stop
+	tickFn   func()
+	sampleFn func()
 }
 
 // StartSampler begins sampling fn every interval, starting one interval in.
@@ -20,39 +27,43 @@ type Sampler struct {
 // without the timeline ending early). fn runs before the sample is
 // appended, so either call observes a consistent X/Y pair set.
 func StartSampler(eng *Engine, interval Time, fn func() float64) *Sampler {
-	s := &Sampler{interval: interval}
-	eng.Spawn("sampler", func(p *Proc) {
-		// Bind the wake callback once: a per-interval method value would be
-		// one allocation per tick.
-		wake := s.wake.Fire
-		for !s.stop {
-			// An interruptible sleep: Stop wakes the process immediately
-			// instead of letting it doze through one more interval, and the
-			// pending timer is cancelled so it cannot hold the event queue
-			// open or advance the clock past the run's end.
-			deadline := p.Now() + s.interval
-			timer := eng.schedule(deadline, wake, nil)
-			for !s.stop && p.Now() < deadline {
-				s.wake.Wait(p)
-			}
-			if s.stop {
-				eng.cancel(timer)
-				return
-			}
-			v := fn()
-			s.X = append(s.X, p.Now().Seconds())
-			s.Y = append(s.Y, v)
-		}
-	})
+	s := &Sampler{interval: interval, eng: eng, fn: fn}
+	s.tickFn, s.sampleFn = s.onTick, s.sample
+	eng.schedule(eng.now, s.arm, nil)
 	return s
 }
 
-// Stop ends sampling and wakes the sampler process immediately, so a
-// stopped sampler no longer holds the event queue open for a further
-// interval.
+// arm schedules the next tick one interval ahead. It reads the interval
+// after fn has run, so a Decimate takes effect on the next tick.
+func (s *Sampler) arm() {
+	if s.stop {
+		return
+	}
+	s.tick = s.eng.schedule(s.eng.now+s.interval, s.tickFn, nil)
+}
+
+// onTick defers the sample to the back of the tick's instant, behind every
+// event already queued for it, so fn observes the same state at every
+// sample time as it always has.
+func (s *Sampler) onTick() { s.eng.schedule(s.eng.now, s.sampleFn, nil) }
+
+func (s *Sampler) sample() {
+	if s.stop {
+		return
+	}
+	v := s.fn()
+	s.X = append(s.X, s.eng.now.Seconds())
+	s.Y = append(s.Y, v)
+	s.arm()
+}
+
+// Stop ends sampling and cancels the armed tick, so a stopped sampler no
+// longer holds the event queue open for a further interval.
 func (s *Sampler) Stop() {
 	s.stop = true
-	s.wake.Fire()
+	if s.tick != (timer{}) {
+		s.eng.cancel(s.tick)
+	}
 }
 
 // N reports how many samples were taken.

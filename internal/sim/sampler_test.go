@@ -4,9 +4,8 @@ import "testing"
 
 func TestSamplerStopWakesImmediately(t *testing.T) {
 	// A stopped sampler must not doze through one more interval: Stop
-	// unwinds the sampler process on the spot and cancels its pending
-	// timer, so the event queue drains at the workload's end rather than
-	// one sampling interval later.
+	// cancels its armed tick on the spot, so the event queue drains at the
+	// workload's end rather than one sampling interval later.
 	e := NewEngine()
 	s := StartSampler(e, Second, func() float64 { return 1 })
 	e.Spawn("work", func(p *Proc) {

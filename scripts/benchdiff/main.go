@@ -9,9 +9,9 @@
 //	go run ./scripts/benchdiff -baseline BENCH_engine.json -update bench.txt
 //
 // Result lines are tokenized as (value, unit) pairs, so custom units
-// reported via b.ReportMetric — the partition benchmarks' run-ns/op and
-// proj-ns/op — are recorded in the baseline and shown in the report rather
-// than confusing the allocs column.
+// reported via b.ReportMetric — the partition benchmarks' run-ns/op,
+// wall-speedup-x and parallelism-x — are recorded in the baseline and shown
+// in the report rather than confusing the allocs column.
 //
 // Two regression gates, chosen per context:
 //
